@@ -17,16 +17,17 @@ test:
 test-par:
 	$(PY) -m pytest -x -q tests/perf
 
-# The interprocedural effects pass (--effects: call-graph race
-# propagation + parallel_map purity) and the hot-path pass (--hotpath:
-# HOT001-HOT006 over the roots in src/repro/analysis/hotpath.manifest)
-# are on for the lint gates; the planted-defect corpora that prove they
-# work are gated by tests/analysis/test_effects_corpus.py and
-# tests/analysis/test_hotpath_corpus.py under `make test`.  Results are
-# cached in .oftt-lint-cache.json (keyed by content hash + rule-set
-# version); pass --no-cache to force a cold run.
+# Every rule family runs by default: determinism, COM contracts, the
+# effects pass (same-tick handler races + parallel_map purity over one
+# call graph), the hot-path pass (HOT001-HOT006 over the roots in
+# src/repro/analysis/hotpath.manifest) and the lifecycle pass (LIFE001-
+# LIFE006 against src/repro/analysis/lifecycle.manifest); `--only
+# FAMILIES` narrows the run.  The planted-defect corpora that prove the
+# whole-program passes work are gated by tests/analysis/test_*_corpus.py
+# under `make test`.  Results are cached in .oftt-lint-cache.json (keyed
+# by content hash + rule-set version); pass --no-cache to force a cold run.
 lint:
-	$(PY) -m repro.analysis src/repro --strict --effects --hotpath --lifecycle
+	$(PY) -m repro.analysis src/repro --strict
 
 # Tests are linted with the per-directory profile: the ambient DET rules
 # (unseeded randomness, entropy, environment reads) are relaxed because
@@ -36,12 +37,12 @@ lint:
 # six lifecycle rules by design (the default lifecycle manifest matches
 # by method name, so the planted corpus classes trip it directly).
 lint-tests:
-	$(PY) -m repro.analysis tests --strict --effects --hotpath --lifecycle \
+	$(PY) -m repro.analysis tests --strict \
 		--relax tests=DET002,DET003,DET006,PURE001,PURE002,PURE003,PURE004 \
 		--relax tests/analysis/corpus=RACE001,RACE002,RACE003,RACE101,RACE102,RACE103,LIFE001,LIFE002,LIFE003,LIFE004,LIFE005,LIFE006
 
 lint-json:
-	$(PY) -m repro.analysis src/repro --strict --effects --hotpath --lifecycle --format json
+	$(PY) -m repro.analysis src/repro --strict --format json
 
 replay:
 	$(PY) -m repro.replay --gate

@@ -9,20 +9,22 @@ replay or the marshalling contract.  This package machine-checks both,
 plus a third hazard class — same-timestamp event handlers whose relative
 order is fixed only by the kernel's sequence-number tiebreak.
 
-Four passes run over the source tree (``python -m repro.analysis src/repro``):
+Five passes run over the source tree (``python -m repro.analysis src/repro``):
 
 * :mod:`repro.analysis.determinism` — wall-clock, ambient entropy,
   unordered fan-out, and other seed-replay hazards (``DET*`` rules).
 * :mod:`repro.analysis.comcheck` — ``ComObject`` subclasses cross-checked
   against their ``InterfaceDecl``s, HRESULT discipline (``COM*`` rules).
-* :mod:`repro.analysis.races` — approximate read/write sets for scheduled
-  callbacks that can tie at equal sim time (``RACE001–004``).
-* :mod:`repro.analysis.effects` — whole-program layer (``--effects``): a
-  call graph (:mod:`repro.analysis.callgraph`) plus per-function effect
-  summaries propagated with k-bounded inlining
-  (:mod:`repro.analysis.summaries`) drive interprocedural race rules
-  (``RACE101–103``, reported with the full call chain) and purity checks
-  for ``parallel_map`` tasks (``PURE001–004``).
+* :mod:`repro.analysis.effects` — whole-program layer: a call graph
+  (:mod:`repro.analysis.callgraph`) plus per-function effect summaries
+  propagated with k-bounded inlining (:mod:`repro.analysis.summaries`)
+  drive the same-tick handler race rules (:mod:`repro.analysis.races`,
+  ``RACE001–004`` in handler bodies, ``RACE101–103`` through helper
+  chains) and purity checks for ``parallel_map`` tasks (``PURE001–004``).
+* :mod:`repro.analysis.hotpath` — per-event waste in functions hot under
+  the hot-root manifest (``HOT*`` rules).
+* :mod:`repro.analysis.lifecycle` — acquire/release leaks against the
+  lifecycle manifest (``LIFE*`` rules).
 
 Findings carry a rule id, slug, severity and ``file:line``; deliberate
 violations are silenced in place with ``# oftt-lint: ok[slug]`` comments
@@ -40,8 +42,9 @@ from repro.analysis.walker import SourceFile, load_sources, run_passes
 # point loaded this package.
 from repro.analysis import comcheck as _comcheck  # noqa: F401  (registers COM*)
 from repro.analysis import determinism as _determinism  # noqa: F401  (registers DET*)
-from repro.analysis import effects as _effects  # noqa: F401  (registers RACE1xx/PURE*)
-from repro.analysis import races as _races  # noqa: F401  (registers RACE00x)
+from repro.analysis import effects as _effects  # noqa: F401  (registers RACE*/PURE*)
+from repro.analysis import hotpath as _hotpath  # noqa: F401  (registers HOT*)
+from repro.analysis import lifecycle as _lifecycle  # noqa: F401  (registers LIFE*)
 
 __all__ = [
     "Finding",

@@ -23,6 +23,10 @@ under-approximate and ANALYSIS.md documents the blind spots.  Every edge
 records whether the call went through the instance receiver
 (``self.``/``cls.``) and how bare-name/``self.attr`` arguments map onto
 the callee's positional parameters; the summary propagation needs both.
+
+The graph also owns the two traversals every whole-program pass shares:
+k-bounded reachability (:meth:`CallGraph.reachable`) and the rendering
+of a route of function keys (:meth:`CallGraph.route`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.walker import SourceFile, dotted_name, import_aliases
+from repro.analysis.walker import SourceFile, dotted_name, import_aliases, self_attr
+
+#: Call-hop budget shared by every whole-program pass: effects propagate,
+#: hotness spreads, and release searches reach at most this many hops.
+DEFAULT_MAX_K = 2
 
 #: An argument "slot" in the caller's frame: ("param", name) when the
 #: argument is a bare parameter name, ("self", attr) when it is exactly
@@ -84,6 +92,8 @@ class CallGraph:
     methods: Dict[Tuple[str, str, str], str] = field(default_factory=dict)
     #: class name -> [(defining module, {method: key})] in file order.
     classes: Dict[str, List[Tuple[str, Dict[str, str]]]] = field(default_factory=dict)
+    #: (module, class-name) -> its top-level ClassDef.
+    class_nodes: Dict[Tuple[str, str], ast.ClassDef] = field(default_factory=dict)
     #: (module, class-name) -> base-class trailing names, as written.
     bases: Dict[Tuple[str, str], List[str]] = field(default_factory=dict)
     #: module -> import aliases (local name -> dotted path).
@@ -92,11 +102,41 @@ class CallGraph:
     def callees(self, key: str) -> List[Edge]:
         return self.edges.get(key, [])
 
+    def reachable(self, roots: Sequence[str], max_k: int = DEFAULT_MAX_K) -> Dict[str, Tuple[str, ...]]:
+        """Breadth-first reach: key -> shortest route of keys from a root.
+
+        Follows the deterministic edge order for at most *max_k* hops, so
+        a function buried deeper than the budget is, by design, not
+        reached.  The visited set handles cycles: a function keeps the
+        route that first reached it.
+        """
+        seen: Dict[str, Tuple[str, ...]] = {key: (key,) for key in roots}
+        frontier = list(roots)
+        for _ in range(max_k):
+            next_frontier: List[str] = []
+            for key in frontier:
+                for edge in self.callees(key):
+                    if edge.callee not in seen:
+                        seen[edge.callee] = seen[key] + (edge.callee,)
+                        next_frontier.append(edge.callee)
+            frontier = next_frontier
+        return seen
+
+    def route(self, keys: Sequence[str], qualified: bool = False) -> str:
+        """``a -> b -> c`` for a route of keys (``Class.method`` if *qualified*)."""
+        infos = [self.functions[key] for key in keys]
+        return " -> ".join(info.qualname if qualified else info.short_name for info in infos)
+
     # -- resolution --------------------------------------------------------
 
-    def resolve_method(self, module: str, class_name: str, method: str) -> Optional[str]:
-        """``class_name.method`` in *module*, walking one level of bases."""
-        key = self.methods.get((module, class_name, method))
+    def resolve_method(
+        self, module: str, class_name: str, method: str, bases_only: bool = False
+    ) -> Optional[str]:
+        """``class_name.method`` in *module*, walking one level of bases.
+
+        *bases_only* skips an own override (what ``super().method`` means).
+        """
+        key = None if bases_only else self.methods.get((module, class_name, method))
         if key is not None:
             return key
         for base in self.bases.get((module, class_name), []):
@@ -182,13 +222,8 @@ def positional_params(node: ast.FunctionDef, *, drop_self: bool) -> List[str]:
 def _arg_slot(node: ast.AST) -> Optional[Slot]:
     if isinstance(node, ast.Name):
         return ("param", node.id)
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return ("self", node.attr)
-    return None
+    attr = self_attr(node)
+    return None if attr is None else ("self", attr)
 
 
 def _collect(files: Sequence[SourceFile], graph: CallGraph) -> None:
@@ -215,6 +250,7 @@ def _collect(files: Sequence[SourceFile], graph: CallGraph) -> None:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
             graph.classes.setdefault(node.name, []).append((module, methods))
+            graph.class_nodes[(module, node.name)] = node
             base_names = [dotted_name(base) or "" for base in node.bases]
             graph.bases[(module, node.name)] = [b.split(".")[-1] for b in base_names if b]
 

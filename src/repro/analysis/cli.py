@@ -4,17 +4,18 @@ Exit-code contract (relied on by ``make verify`` and the dogfood test):
 
 * ``0`` — no gating findings (errors; plus warnings under ``--strict``)
 * ``1`` — at least one gating finding
-* ``2`` — usage or internal error (bad path, unknown pass)
+* ``2`` — usage or internal error (bad path, unknown rule family)
 
 Examples::
 
-    python -m repro.analysis src/repro                # default passes, text
-    python -m repro.analysis src/repro --effects      # + interprocedural effects
+    python -m repro.analysis src/repro                # every rule family, text
     python -m repro.analysis src/repro --format json  # machine output
-    python -m repro.analysis src examples --passes det,race --strict
+    python -m repro.analysis src examples --only DET,RACE --strict
     python -m repro.analysis src tests --relax tests=DET002,DET006
-    python -m repro.analysis src/repro --effects --max-k 1   # cheaper fixpoint
     oftt-lint --list-rules
+
+``--only FAMILY[,FAMILY...]`` runs exactly the passes that emit those
+families (see :data:`PASSES`) and reports only their findings.
 
 ``--relax PREFIX=RULE[,RULE...]`` (repeatable) is the per-directory rule
 profile: findings for the named rules in files under ``PREFIX`` are
@@ -28,42 +29,41 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.analysis import cache, comcheck, determinism, effects, hotpath, lifecycle, races
+from repro.analysis import cache, comcheck, determinism, effects, hotpath, lifecycle
+from repro.analysis.callgraph import CallGraph, build_call_graph
 from repro.analysis.findings import AnalysisError, Finding, Severity, all_rules, lookup
 from repro.analysis.report import render_json, render_text
-from repro.analysis.walker import Pass, load_sources, run_passes, suppression_errors
+from repro.analysis.walker import Pass, SourceFile, load_sources, run_passes, suppression_errors
 
-#: Registered passes, in execution order.  ``effects``, ``hot`` and
-#: ``life`` are opt-in via ``--effects``/``--hotpath``/``--lifecycle``
-#: (or explicit ``--passes`` entries) because they are whole-program
-#: passes; ``make lint`` turns all three on.
-PASSES: Dict[str, Pass] = {
-    "det": determinism.run,
-    "com": comcheck.run,
-    "race": races.run,
-    "effects": effects.run,
-    "hot": hotpath.run,
-    "life": lifecycle.run,
+class PassEntry(NamedTuple):
+    """One row of the pass table."""
+
+    families: Tuple[str, ...]  # rule families the pass emits
+    #: (files, shared call-graph getter, manifest path or None) -> findings
+    run: Callable[[Sequence[SourceFile], Callable[[], CallGraph], Optional[str]], List[Finding]]
+    manifest_option: Optional[str] = None  # option naming the pass's manifest
+
+
+#: The pass table, in execution order.  Every pass runs unless ``--only``
+#: narrows the families; the whole-program passes share one call graph,
+#: and editing a pass's manifest invalidates its cached findings.
+PASSES: Dict[str, PassEntry] = {
+    "det": PassEntry(("DET",), lambda files, graph, manifest: determinism.run(files)),
+    "com": PassEntry(("COM",), lambda files, graph, manifest: comcheck.run(files)),
+    "effects": PassEntry(("RACE", "PURE"), lambda files, graph, manifest: effects.run(files, graph())),
+    "hot": PassEntry(("HOT",), lambda files, graph, manifest: hotpath.run(
+        files, graph(), hotpath.load_manifest(manifest)), "hot_manifest"),
+    "life": PassEntry(("LIFE",), lambda files, graph, manifest: lifecycle.run(
+        files, graph(), lifecycle.load_manifest(manifest)), "life_manifest"),
 }
 
-#: Passes run when ``--passes`` is not given.
-DEFAULT_PASSES = "det,com,race"
-
-#: Rule-id family prefix -> passes that can emit it, for ``--only``.
-#: GEN findings (syntax/suppression hygiene) always pass the filter.
-FAMILIES: Dict[str, Tuple[str, ...]] = {
-    "GEN": (),
-    "DET": ("det",),
-    "COM": ("com",),
-    "RACE": ("race", "effects"),
-    "PURE": ("effects",),
-    "HOT": ("hot",),
-    "LIFE": ("life",),
-}
+#: GEN findings (syntax/suppression hygiene) always pass ``--only``.
+FAMILIES = ("GEN",) + tuple(family for entry in PASSES.values() for family in entry.families)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,32 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyse (default: src/repro)")
-    parser.add_argument("--passes", default=DEFAULT_PASSES, metavar="NAMES",
-                        help="comma-separated subset of det,com,race,effects,hot,life "
-                             f"(default: {DEFAULT_PASSES})")
-    parser.add_argument("--effects", action="store_true",
-                        help="also run the interprocedural effects pass "
-                             "(RACE101-103 handler races, PURE001-004 parallel_map purity)")
-    parser.add_argument("--hotpath", action="store_true",
-                        help="also run the hot-path pass (HOT001-006 per-event waste "
-                             "in functions reachable from the hot-root manifest)")
-    parser.add_argument("--hot-manifest", default=None, metavar="PATH",
-                        help="hot-root manifest for the hotpath pass "
-                             "(default: the checked-in repro/analysis/hotpath.manifest)")
-    parser.add_argument("--lifecycle", action="store_true",
-                        help="also run the resource-lifecycle pass (LIFE001-006 "
-                             "acquire/release leaks against the lifecycle manifest)")
-    parser.add_argument("--life-manifest", default=None, metavar="PATH",
-                        help="acquire/release manifest for the lifecycle pass "
-                             "(default: the checked-in repro/analysis/lifecycle.manifest)")
     parser.add_argument("--only", default=None, metavar="FAMILIES",
                         help="restrict to the named rule families, e.g. --only LIFE,HOT: "
                              "runs exactly the passes those families need and reports "
-                             "only their findings (plus GEN hygiene)")
-    parser.add_argument("--max-k", type=int, default=effects.DEFAULT_MAX_K, metavar="N",
-                        help="inlining depth for the effects/hotpath passes: effects and "
-                             "hotness propagate through at most N call hops "
-                             f"(default: {effects.DEFAULT_MAX_K})")
+                             "only their findings (plus GEN hygiene); default: all of "
+                             f"{','.join(FAMILIES[1:])}")
+    parser.add_argument("--hot-manifest", default=hotpath.DEFAULT_MANIFEST, metavar="PATH",
+                        help="hot-root manifest for HOT001-006 "
+                             "(default: the checked-in repro/analysis/hotpath.manifest)")
+    parser.add_argument("--life-manifest", default=lifecycle.DEFAULT_MANIFEST, metavar="PATH",
+                        help="acquire/release manifest for LIFE001-006 "
+                             "(default: the checked-in repro/analysis/lifecycle.manifest)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache (always re-analyse)")
     parser.add_argument("--cache-path", default=cache.DEFAULT_PATH, metavar="PATH",
@@ -199,61 +184,41 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(list_rules())
         return 0
 
-    pass_names = [name.strip() for name in options.passes.split(",") if name.strip()]
-    if options.effects and "effects" not in pass_names:
-        pass_names.append("effects")
-    if options.hotpath and "hot" not in pass_names:
-        pass_names.append("hot")
-    if options.lifecycle and "life" not in pass_names:
-        pass_names.append("life")
     try:
-        if options.max_k < 0:
-            raise AnalysisError(f"--max-k must be >= 0, got {options.max_k}")
-        only_families: Optional[Set[str]] = None
-        if options.only is not None:
-            # Run exactly the passes the selected families need, in the
-            # canonical PASSES order, regardless of other flags.
-            only_families = parse_only(options.only)
-            needed = {name for family in only_families for name in FAMILIES[family]}
-            pass_names = [name for name in PASSES if name in needed]
-        named: List[Tuple[str, Pass]] = []
-        for name in pass_names:
-            if name not in PASSES:
-                raise AnalysisError(f"unknown pass {name!r} (choose from {', '.join(PASSES)})")
-            if name == "effects":
-                named.append((name, effects.make_pass(options.max_k)))
-            elif name == "hot":
-                named.append((name, hotpath.make_pass(options.max_k, options.hot_manifest)))
-            elif name == "life":
-                named.append((name, lifecycle.make_pass(options.max_k, options.life_manifest)))
-            else:
-                named.append((name, PASSES[name]))
+        families = set(FAMILIES) if options.only is None else parse_only(options.only)
+        pass_names = [name for name, entry in PASSES.items() if families.intersection(entry.families)]
+        manifests = {
+            name: getattr(options, PASSES[name].manifest_option)
+            for name in pass_names
+            if PASSES[name].manifest_option is not None
+        }
         relaxations = parse_relaxations(options.relax)
-        manifest_digest = ""
-        if "hot" in pass_names:
-            # Editing the manifest must invalidate cached hot findings.
-            manifest_digest = cache.file_digest(options.hot_manifest or hotpath.DEFAULT_MANIFEST)
-        life_digest = ""
-        if "life" in pass_names:
-            # Same contract for the lifecycle manifest.
-            life_digest = cache.file_digest(options.life_manifest or lifecycle.DEFAULT_MANIFEST)
+        config_key = ";".join(f"{name}={cache.file_digest(path)}" for name, path in manifests.items())
         files, load_findings = load_sources(options.paths or ["src/repro"])
+        shared: List[CallGraph] = []
+
+        def graph() -> CallGraph:
+            if not shared:
+                shared.append(build_call_graph(files))
+            return shared[0]
+
+        named: List[Tuple[str, Pass]] = [
+            (name, functools.partial(PASSES[name].run, graph=graph, manifest=manifests.get(name)))
+            for name in pass_names
+        ]
+        if options.no_cache:
+            findings = run_passes(files, [one_pass for _, one_pass in named])
+        else:
+            findings, _stats = cache.run_cached(files, named, options.cache_path, config_key)
+            findings.extend(suppression_errors(files))
     except AnalysisError as exc:
         print(f"oftt-lint: {exc}", file=sys.stderr)
         return 2
 
-    if options.no_cache:
-        findings = run_passes(files, [one_pass for _, one_pass in named])
-    else:
-        config_key = f"max_k={options.max_k};manifest={manifest_digest};life_manifest={life_digest}"
-        findings, _stats = cache.run_cached(files, named, options.cache_path, config_key)
-        findings.extend(suppression_errors(files))
-        findings.sort(key=Finding.sort_key)
-    findings = sorted(load_findings + findings, key=lambda f: f.sort_key())
+    findings = sorted(load_findings + findings, key=Finding.sort_key)
     findings = apply_relaxations(findings, relaxations)
-    if only_families is not None:
-        keep = only_families | {"GEN"}
-        findings = [f for f in findings if rule_family(f.rule.rule_id) in keep]
+    if options.only is not None:
+        findings = [f for f in findings if rule_family(f.rule.rule_id) in families | {"GEN"}]
 
     if options.format == "json":
         sys.stdout.write(render_json(findings, len(files), pass_names))

@@ -1,19 +1,15 @@
-"""Pass 4 — interprocedural effect analysis (RACE1xx / PURE rules).
+"""The effects pass: interprocedural races and purity (RACE / PURE rules).
 
 Two rule families ride on the same machinery — a module-level call graph
 (:mod:`repro.analysis.callgraph`) and per-function effect summaries
 propagated bottom-up with k-bounded inlining
 (:mod:`repro.analysis.summaries`):
 
-* **RACE101–103** extend the intraprocedural race pass across call
-  boundaries.  PR 1's RACE001–003 stop at the handler body, so a
-  conflict routed through a private helper (``OpcGroup._dispatch``,
-  ``self._collect()``) is invisible to them.  Here each same-tick
-  handler's read/write/mutate/iterate sets include everything reachable
-  through up to ``max_k`` ``self.method()`` hops, and findings carry the
-  full call chain (``_on_ping_result -> _collect -> clear_callback``).
-  Conflicts already visible intraprocedurally are *not* re-reported —
-  those belong to RACE001–003 and their existing suppressions.
+* **RACE001–004, RACE101–103** — same-tick handler races
+  (:mod:`repro.analysis.races`).  Conflicts visible in the handler
+  bodies themselves are the k = 0 rules RACE001–003; conflicts routed
+  through up to ``max_k`` ``self.method()`` hops are RACE101–103 and
+  carry the full call chain.
 
 * **PURE001–004** check the contract ``parallel_map`` states but nothing
   enforced: tasks fanned out to spawn workers must be pure picklable
@@ -36,35 +32,21 @@ propagated bottom-up with k-bounded inlining
     spawned workers mutate pickled copies, so results diverge with the
     worker count.
 
-RACE101–103 are warnings like their intraprocedural siblings (the
-tiebreak order is occasionally the designed behaviour; annotate reviewed
-pairs in place).  PURE rules are errors: each one breaks the hard
-byte-identity gate ``make perf-gate`` enforces.
+PURE rules are errors: each one breaks the hard byte-identity gate
+``make perf-gate`` enforces.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import races
-from repro.analysis.callgraph import CallGraph, build_call_graph, positional_params
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, build_call_graph, positional_params
 from repro.analysis.findings import Finding, Severity, rule
-from repro.analysis.summaries import Chain, EffectSummary, compute_summaries
+from repro.analysis.summaries import EffectSummary, compute_summaries
 from repro.analysis.walker import SourceFile, import_aliases, resolve_call_name
 
-IP_WRITE_WRITE = rule(
-    "RACE101", "ip-race-write-write", Severity.WARNING, "effects",
-    "Same-tick handlers write one attribute through helper calls; order is the seq tiebreak.",
-)
-IP_WRITE_READ = rule(
-    "RACE102", "ip-race-write-read", Severity.WARNING, "effects",
-    "A same-tick handler reads what another writes through a helper call chain.",
-)
-IP_CONTAINER = rule(
-    "RACE103", "ip-race-container", Severity.WARNING, "effects",
-    "A same-tick handler mutates, through helpers, a container another iterates.",
-)
 IMPURE_TASK = rule(
     "PURE001", "impure-task", Severity.ERROR, "effects",
     "parallel_map task transitively writes module state; workers diverge from the serial run.",
@@ -81,142 +63,6 @@ MUTATING_TASK = rule(
     "PURE004", "task-mutates-argument", Severity.ERROR, "effects",
     "parallel_map task mutates its argument in place; workers mutate pickled copies.",
 )
-
-#: Default inlining depth: effects travel at most this many call hops.
-DEFAULT_MAX_K = 2
-
-
-def _chain_str(handler: str, chain: Chain, graph: CallGraph) -> str:
-    """``handler -> helper -> deeper`` using short method names."""
-    names = [handler]
-    for key in chain:
-        info = graph.functions.get(key)
-        names.append(info.short_name if info is not None else key.rsplit(":", 1)[-1])
-    return " -> ".join(names)
-
-
-# -- RACE101–103: interprocedural same-tick handler conflicts --------------
-
-
-def _handler_summaries(
-    model: races.ClassModel,
-    module: str,
-    graph: CallGraph,
-    summaries: Dict[str, EffectSummary],
-) -> Dict[str, EffectSummary]:
-    """Transitive summaries for the model's handlers, keyed by method name."""
-    out: Dict[str, EffectSummary] = {}
-    for handler in sorted(model.handlers):
-        key = graph.methods.get((module, model.name, handler))
-        if key is not None and key in summaries:
-            out[handler] = summaries[key]
-    return out
-
-
-def _sides(
-    handlers: Dict[str, EffectSummary], select
-) -> List[Tuple[str, Chain]]:
-    """(handler, chain) pairs where *select* yields the attr's chain."""
-    out: List[Tuple[str, Chain]] = []
-    for handler in sorted(handlers):
-        chain = select(handlers[handler])
-        if chain is not None:
-            out.append((handler, chain))
-    return out
-
-
-def _check_handler_conflicts(
-    model: races.ClassModel,
-    module: str,
-    graph: CallGraph,
-    summaries: Dict[str, EffectSummary],
-) -> List[Finding]:
-    findings: List[Finding] = []
-    handlers = _handler_summaries(model, module, graph, summaries)
-    if len(handlers) < 2:
-        return findings
-    def_line = {name: model.methods[name].lineno for name in handlers}
-
-    attrs: Set[str] = set()
-    for summary in handlers.values():
-        attrs.update(summary.self_writes)
-        attrs.update(summary.self_reads)
-    reported: Set[Tuple[str, str]] = set()
-
-    for attr in sorted(attrs):
-        if attr.startswith("__"):
-            continue
-        writers = _sides(handlers, lambda s: s.self_writes.get(attr))
-        readers = _sides(handlers, lambda s: s.self_reads.get(attr))
-        mutators = _sides(handlers, lambda s: s.self_mutates.get(attr))
-        iterators = _sides(handlers, lambda s: s.self_iterates.get(attr))
-
-        direct_writers = [w for w, chain in writers if chain == ()]
-        # -- write-write ------------------------------------------------
-        if len(writers) >= 2:
-            if len(direct_writers) >= 2:
-                reported.add(("ww", attr))  # RACE001 territory; don't re-report
-            else:
-                reported.add(("ww", attr))
-                chained = [(w, c) for w, c in writers if c]
-                anchor = writers[0][0]
-                routes = "; ".join(
-                    f"{_chain_str(w, c, graph)}" for w, c in writers
-                )
-                findings.append(Finding(
-                    IP_WRITE_WRITE, model.path, def_line[anchor], 0,
-                    f"{model.name}.{attr} written by same-tick handlers via {routes}; "
-                    f"order is only the seq tiebreak",
-                ))
-                continue
-        # -- container mutate vs iterate (classified before write-read:
-        # mutates are writes and iterations are reads, and the container
-        # rule is the more precise diagnosis) ---------------------------
-        if mutators and iterators:
-            pair = None
-            direct_pair = False
-            for mutator, mut_chain in mutators:
-                for iterator, it_chain in iterators:
-                    if iterator == mutator:
-                        continue
-                    if mut_chain == () and it_chain == ():
-                        direct_pair = True  # RACE003 territory
-                        continue
-                    if pair is None:
-                        pair = ((mutator, mut_chain), (iterator, it_chain))
-            if pair is not None and not direct_pair:
-                reported.add(("ci", attr))
-                (mutator, mut_chain), (iterator, it_chain) = pair
-                findings.append(Finding(
-                    IP_CONTAINER, model.path, def_line[mutator], 0,
-                    f"{model.name}.{attr} mutated via {_chain_str(mutator, mut_chain, graph)} "
-                    f"while {_chain_str(iterator, it_chain, graph)} iterates it in a same-tick handler",
-                ))
-            elif direct_pair:
-                reported.add(("ci", attr))  # RACE003's; suppress the wr echo too
-        # -- write-read -------------------------------------------------
-        if ("ww", attr) not in reported and ("ci", attr) not in reported and writers and readers:
-            pair: Optional[Tuple[Tuple[str, Chain], Tuple[str, Chain]]] = None
-            direct_pair = False
-            for writer, write_chain in writers:
-                for reader, read_chain in readers:
-                    if reader == writer:
-                        continue
-                    if write_chain == () and read_chain == ():
-                        direct_pair = True  # RACE002 territory
-                        continue
-                    if pair is None:
-                        pair = ((writer, write_chain), (reader, read_chain))
-            if pair is not None and not direct_pair and ("wr", attr) not in reported:
-                reported.add(("wr", attr))
-                (writer, write_chain), (reader, read_chain) = pair
-                findings.append(Finding(
-                    IP_WRITE_READ, model.path, def_line[writer], 0,
-                    f"{model.name}.{attr} written via {_chain_str(writer, write_chain, graph)} "
-                    f"and read via {_chain_str(reader, read_chain, graph)} in same-tick handlers; "
-                    f"order is only the seq tiebreak",
-                ))
-    return findings
 
 
 # -- PURE001–004: parallel_map task purity ---------------------------------
@@ -292,7 +138,7 @@ def _check_task(
         findings.append(Finding(
             IMPURE_TASK, path, line, col,
             f"task {task_name} transitively writes module state {name!r} "
-            f"(via {_chain_str(task_name, chain, graph)}); the merged result is no "
+            f"(via {graph.route((key,) + chain)}); the merged result is no "
             f"longer a pure function of the task arguments",
         ))
         break  # one impurity per call site is enough to gate
@@ -302,7 +148,7 @@ def _check_task(
         findings.append(Finding(
             ENTROPY_TASK, path, line, col,
             f"task {task_name} reads ambient entropy {source} "
-            f"(via {_chain_str(task_name, chain, graph)}) and takes no seed parameter; "
+            f"(via {graph.route((key,) + chain)}) and takes no seed parameter; "
             f"workers and reruns diverge",
         ))
     for param in sorted(summary.param_mutations):
@@ -310,7 +156,7 @@ def _check_task(
         findings.append(Finding(
             MUTATING_TASK, path, line, col,
             f"task {task_name} mutates its argument {param!r} in place "
-            f"(via {_chain_str(task_name, chain, graph)}); workers mutate pickled "
+            f"(via {graph.route((key,) + chain)}); workers mutate pickled "
             f"copies, so results depend on the worker count",
         ))
         break
@@ -352,34 +198,19 @@ def _check_parallel_map_sites(
     return findings
 
 
-# -- pass entry points -----------------------------------------------------
+# -- pass entry point ------------------------------------------------------
 
 
-def run_with_k(files: Sequence[SourceFile], max_k: int = DEFAULT_MAX_K) -> List[Finding]:
-    """Run the effects pass with an explicit inlining depth."""
-    graph = build_call_graph(files)
+def run(
+    files: Sequence[SourceFile],
+    graph: Optional[CallGraph] = None,
+    max_k: int = DEFAULT_MAX_K,
+) -> List[Finding]:
+    """Pass entry point; *graph* is built from *files* when not shared."""
+    if graph is None:
+        graph = build_call_graph(files)
     summaries = compute_summaries(files, graph, max_k=max_k)
-    module_of_path = {f.path: f.module_name for f in files}
-
-    findings: List[Finding] = []
-    for model in races.collect_models(files):
-        if len(model.handlers) < 2:
-            continue
-        findings.extend(_check_handler_conflicts(
-            model, module_of_path.get(model.path, ""), graph, summaries,
-        ))
+    findings = races.check(files, graph, summaries)
     for source_file in files:
         findings.extend(_check_parallel_map_sites(source_file, graph, summaries))
     return findings
-
-
-def run(files: Sequence[SourceFile]) -> List[Finding]:
-    """Pass entry point (default k)."""
-    return run_with_k(files, DEFAULT_MAX_K)
-
-
-def make_pass(max_k: int):
-    """A Pass closure with a configured inlining depth (``--max-k``)."""
-    def effects_pass(files: Sequence[SourceFile]) -> List[Finding]:
-        return run_with_k(files, max_k)
-    return effects_pass

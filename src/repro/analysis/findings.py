@@ -40,7 +40,7 @@ class Rule:
     rule_id: str  # e.g. "DET001"
     slug: str  # e.g. "wall-clock"; used in suppression comments
     severity: Severity
-    pass_name: str  # "det" | "com" | "race" | "gen"
+    pass_name: str  # "det" | "com" | "effects" | "hot" | "life" | "gen"
     summary: str  # one-line rationale, shown by --list-rules
 
 

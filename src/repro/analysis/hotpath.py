@@ -12,8 +12,8 @@ makes hotness a checked property instead of tribal knowledge:
   Each line is ``MODULE:QUALNAME`` — the module may be a dotted suffix so
   the same manifest works regardless of the invocation directory.
 * Hotness propagates through the :mod:`repro.analysis.callgraph` edges,
-  bounded by the same ``--max-k`` budget as the effects pass: any
-  function reachable from a root within ``max_k`` call hops is hot.
+  bounded by the same hop budget as the effects pass: any function
+  reachable from a root within ``max_k`` call hops is hot.
   Roots that match nothing in the analysed file set are inert (the
   manifest describes the whole project; a partial lint sees a subset).
 * Over hot functions only, six rules flag per-event waste (HOT001-006
@@ -29,14 +29,22 @@ code is the way it is.  Known imprecision is catalogued in ANALYSIS.md.
 from __future__ import annotations
 
 import ast
+import collections
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, build_call_graph
-from repro.analysis.effects import DEFAULT_MAX_K
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, FunctionInfo, build_call_graph
 from repro.analysis.findings import AnalysisError, Finding, Severity, rule
-from repro.analysis.walker import SourceFile
+from repro.analysis.summaries import GROWTH_CALLS
+from repro.analysis.walker import (
+    SourceFile,
+    ancestors,
+    manifest_lines,
+    parent_map,
+    resolve_call_name,
+    self_attr,
+)
 
 HOT_FRESH_CONTAINER = rule(
     "HOT001",
@@ -84,11 +92,6 @@ HOT_AMBIENT_RELOOKUP = rule(
 #: Default manifest shipped next to the pass.
 DEFAULT_MANIFEST = os.path.join(os.path.dirname(__file__), "hotpath.manifest")
 
-#: Mutating container methods that mark a ``self.attr`` as *growing with
-#: event count* for HOT003 (set/dict ``add``/``setdefault`` deliberately
-#: excluded: their membership checks are O(1)).
-_GROWTH_CALLS = {"append", "extend", "insert", "appendleft"}
-
 #: Fully-resolved callables HOT004 treats as heavy per-event work.
 _HEAVY_CALLS = {
     "copy.deepcopy",
@@ -115,15 +118,7 @@ class RootSpec:
 def load_manifest(path: str) -> List[RootSpec]:
     """Parse a hot-root manifest; ``#`` comments and blank lines ignored."""
     specs: List[RootSpec] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:  # oftt-lint: ok[ambient-io]
-            lines = handle.readlines()
-    except OSError as exc:
-        raise AnalysisError(f"cannot read hot-root manifest {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in manifest_lines(path, "hot-root"):
         module, sep, qualname = text.partition(":")
         module = module.strip()
         qualname = qualname.strip()
@@ -141,88 +136,42 @@ def _module_matches(module: str, spec_module: str) -> bool:
 
 def resolve_roots(graph: CallGraph, specs: Sequence[RootSpec]) -> List[str]:
     """Function keys for every manifest spec present in the analysed set."""
-    roots: List[str] = []
-    seen: Set[str] = set()
-    for key in sorted(graph.functions):
-        info = graph.functions[key]
-        for spec in specs:
-            if info.qualname == spec.qualname and _module_matches(info.module, spec.module):
-                if key not in seen:
-                    seen.add(key)
-                    roots.append(key)
-                break
-    return roots
+    return [
+        key
+        for key, info in sorted(graph.functions.items())
+        if any(info.qualname == spec.qualname and _module_matches(info.module, spec.module) for spec in specs)
+    ]
 
 
-def hot_functions(
-    graph: CallGraph, roots: Sequence[str], max_k: int
-) -> Dict[str, Tuple[str, ...]]:
-    """Breadth-first hotness: key -> route of keys from a declaring root.
-
-    Reuses the call graph's deterministic edge order, bounded by
-    *max_k* hops (the same budget the effects pass uses), so a helper
-    buried deeper than the budget is — by design — not hot.  Cycles are
-    handled by the visited set: a function keeps the shortest route that
-    first reached it.
-    """
-    hot: Dict[str, Tuple[str, ...]] = {key: (key,) for key in roots}
-    frontier = list(roots)
-    for _ in range(max_k):
-        if not frontier:
-            break
-        next_frontier: List[str] = []
-        for key in frontier:
-            route = hot[key]
-            for edge in graph.callees(key):
-                if edge.callee not in hot:
-                    hot[edge.callee] = route + (edge.callee,)
-                    next_frontier.append(edge.callee)
-        frontier = next_frontier
-    return hot
-
-
-def _route_str(route: Tuple[str, ...], graph: CallGraph) -> str:
-    if len(route) == 1:
-        return "declared hot root"
-    names = " -> ".join(graph.functions[key].qualname for key in route)
-    return f"hot via {names}"
-
-
-# -- shared AST helpers ----------------------------------------------------
-
-
-def _parent_map(func: ast.FunctionDef) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for parent in ast.walk(func):
-        for child in ast.iter_child_nodes(parent):
-            parents[id(child)] = parent
-    return parents
-
-
-def _ancestors(node: ast.AST, parents: Dict[int, ast.AST]) -> Iterator[ast.AST]:
-    while id(node) in parents:
-        node = parents[id(node)]
-        yield node
+# -- AST helpers -----------------------------------------------------------
 
 
 def _under_raise(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
-    return any(isinstance(a, ast.Raise) for a in _ancestors(node, parents))
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
+    return any(isinstance(a, ast.Raise) for a in ancestors(node, parents))
 
 
 def _body_walk(func: ast.FunctionDef) -> Iterator[ast.AST]:
     """Walk the function *body* only (skips decorators/annotations/defaults)."""
     for stmt in func.body:
         yield from ast.walk(stmt)
+
+
+def _store_counts(func: ast.FunctionDef) -> Dict[str, int]:
+    """How many times the body binds each local name."""
+    return collections.Counter(
+        node.id
+        for node in _body_walk(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del))
+    )
+
+
+def _loads(func: ast.FunctionDef, name: str) -> List[ast.Name]:
+    """Every read of local *name* in the body."""
+    return [
+        node
+        for node in _body_walk(func)
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+    ]
 
 
 # -- per-rule checks -------------------------------------------------------
@@ -280,9 +229,9 @@ def _is_format_expr(node: ast.AST) -> bool:
 def _conditional_use(load: ast.AST, assign: ast.Assign, parents: Dict[int, ast.AST]) -> bool:
     """Whether *load* sits on a branch the *assign* is not already on."""
     assign_line = {id(assign)}
-    assign_line.update(id(a) for a in _ancestors(assign, parents))
+    assign_line.update(id(a) for a in ancestors(assign, parents))
     child: ast.AST = load
-    for parent in _ancestors(load, parents):
+    for parent in ancestors(load, parents):
         if isinstance(parent, ast.Raise):
             return True
         if isinstance(parent, (ast.If, ast.IfExp)) and id(parent) not in assign_line:
@@ -294,26 +243,19 @@ def _conditional_use(load: ast.AST, assign: ast.Assign, parents: Dict[int, ast.A
 
 def _check_eager_format(ctx: "_FunctionContext", findings: List[Finding]) -> None:
     func = ctx.func
-    assigns: List[Tuple[str, ast.Assign]] = []
-    stores: Dict[str, int] = {}
-    for node in _body_walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            stores[node.id] = stores.get(node.id, 0) + 1
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and _is_format_expr(node.value)
+    stores = _store_counts(func)
+    for assign in _body_walk(func):
+        if not (
+            isinstance(assign, ast.Assign)
+            and len(assign.targets) == 1
+            and isinstance(assign.targets[0], ast.Name)
+            and _is_format_expr(assign.value)
         ):
-            assigns.append((node.targets[0].id, node))
-    for name, assign in assigns:
-        if stores.get(name, 0) != 1:
+            continue
+        name = assign.targets[0].id
+        if stores[name] != 1:
             continue  # rebound elsewhere; the dataflow is not obvious
-        loads = [
-            node
-            for node in _body_walk(func)
-            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
-        ]
+        loads = _loads(func, name)
         if loads and all(_conditional_use(load, assign, ctx.parents) for load in loads):
             findings.append(
                 ctx.finding(
@@ -372,7 +314,7 @@ def _check_linear_scans(ctx: "_FunctionContext", findings: List[Finding]) -> Non
             isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
         ):
             for comparator in node.comparators:
-                attr = _self_attr(comparator)
+                attr = self_attr(comparator)
                 if attr in growing:
                     findings.append(
                         ctx.finding(
@@ -390,9 +332,9 @@ def _check_linear_scans(ctx: "_FunctionContext", findings: List[Finding]) -> Non
             and node.args
         ):
             target = node.args[0]
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None and isinstance(target, ast.Call):
-                attr = _self_attr(
+                attr = self_attr(
                     target.func.value if isinstance(target.func, ast.Attribute) else target.func
                 )
             if attr in growing:
@@ -405,7 +347,7 @@ def _check_linear_scans(ctx: "_FunctionContext", findings: List[Finding]) -> Non
                     )
                 )
         if isinstance(node, ast.For):
-            attr = _self_attr(node.iter)
+            attr = self_attr(node.iter)
             if attr in growing:
                 findings.append(
                     ctx.finding(
@@ -434,10 +376,7 @@ def _list_returning_call(ctx: "_FunctionContext", node: ast.AST) -> Optional[str
 def _check_materialized_helpers(ctx: "_FunctionContext", findings: List[Finding]) -> None:
     func = ctx.func
     parents = ctx.parents
-    stores: Dict[str, int] = {}
-    for node in _body_walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            stores[node.id] = stores.get(node.id, 0) + 1
+    stores = _store_counts(func)
     for node in _body_walk(func):
         # Direct: len(self.helper(...)) / self.helper(...)[0].
         if (
@@ -472,17 +411,13 @@ def _check_materialized_helpers(ctx: "_FunctionContext", findings: List[Finding]
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
-            and stores.get(node.targets[0].id, 0) == 1
+            and stores[node.targets[0].id] == 1
         ):
             callee = _list_returning_call(ctx, node.value)
             if callee is None:
                 continue
             name = node.targets[0].id
-            loads = [
-                n
-                for n in _body_walk(func)
-                if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
-            ]
+            loads = _loads(func, name)
             if loads and all(_peek_only_use(load, parents) for load in loads):
                 findings.append(
                     ctx.finding(
@@ -496,7 +431,7 @@ def _check_materialized_helpers(ctx: "_FunctionContext", findings: List[Finding]
 
 def _memo_guarded(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
     """A None-check / not-check ancestor counts as a memoization guard."""
-    for parent in _ancestors(node, parents):
+    for parent in ancestors(node, parents):
         if isinstance(parent, (ast.If, ast.IfExp)):
             for sub in ast.walk(parent.test):
                 if isinstance(sub, ast.Compare) and any(
@@ -512,7 +447,7 @@ def _check_heavy_calls(ctx: "_FunctionContext", findings: List[Finding]) -> None
     for node in _body_walk(ctx.func):
         if not isinstance(node, ast.Call):
             continue
-        resolved = ctx.resolved_dotted(node.func)
+        resolved = resolve_call_name(node, ctx.aliases)
         if resolved is None or not _is_heavy(resolved):
             continue
         if _under_raise(node, ctx.parents) or _memo_guarded(node, ctx.parents):
@@ -636,7 +571,7 @@ def _check_ambient_relookups(ctx: "_FunctionContext", findings: List[Finding]) -
         for node in nodes:
             if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
                 continue
-            attr = _self_attr(node)
+            attr = self_attr(node)
             if attr is None or attr in ctx.mutated_attrs or attr in ctx.method_names:
                 continue
             parent = parents.get(id(node))
@@ -669,18 +604,19 @@ class _FunctionContext:
         info: FunctionInfo,
         route: Tuple[str, ...],
         graph: CallGraph,
-        class_table: Dict[Tuple[str, str], ast.ClassDef],
         plain_modules: Set[str],
     ) -> None:
         self.info = info
         self.func = info.node
         self.route = route
         self.graph = graph
-        self.class_table = class_table
+        self.class_table = graph.class_nodes
         self.plain_modules = plain_modules
         self.aliases = graph.aliases.get(info.module, {})
-        self.parents = _parent_map(info.node)
-        self.route_suffix = _route_str(route, graph)
+        self.parents = parent_map(info.node)
+        self.route_suffix = (
+            "declared hot root" if len(route) == 1 else f"hot via {graph.route(route, qualified=True)}"
+        )
         self.growing_attrs = self._class_growing_attrs()
         self.mutated_attrs = self._class_mutated_attrs()
         self.method_names = self._class_method_names()
@@ -708,9 +644,9 @@ class _FunctionContext:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _GROWTH_CALLS
+                and node.func.attr in GROWTH_CALLS
             ):
-                attr = _self_attr(node.func.value)
+                attr = self_attr(node.func.value)
                 if attr is not None:
                     grown.add(attr)
         return grown
@@ -733,7 +669,7 @@ class _FunctionContext:
                 if isinstance(node, ast.Attribute) and isinstance(
                     node.ctx, (ast.Store, ast.Del)
                 ):
-                    attr = _self_attr(node)
+                    attr = self_attr(node)
                     if attr is not None:
                         mutated.add(attr)
         return mutated
@@ -747,15 +683,6 @@ class _FunctionContext:
             for stmt in class_node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-
-    def resolved_dotted(self, func_expr: ast.AST) -> Optional[str]:
-        """``mod.attr`` with the head resolved through import aliases."""
-        if isinstance(func_expr, ast.Attribute) and isinstance(func_expr.value, ast.Name):
-            head = func_expr.value.id
-            return f"{self.aliases.get(head, head)}.{func_expr.attr}"
-        if isinstance(func_expr, ast.Name):
-            return self.aliases.get(func_expr.id)
-        return None
 
     def resolve_class(self, expr: ast.AST) -> Optional[Tuple[ast.ClassDef, str]]:
         if isinstance(expr, ast.Name):
@@ -788,17 +715,6 @@ _CHECKS = (
 )
 
 
-def _collect_classes(files: Sequence[SourceFile]) -> Dict[Tuple[str, str], ast.ClassDef]:
-    table: Dict[Tuple[str, str], ast.ClassDef] = {}
-    for source_file in files:
-        if source_file.tree is None:
-            continue
-        for node in source_file.tree.body:
-            if isinstance(node, ast.ClassDef):
-                table[(source_file.module_name, node.name)] = node
-    return table
-
-
 def _plain_module_names(tree: ast.Module) -> Set[str]:
     """Names bound by plain ``import X [as Y]`` (module objects, not members)."""
     names: Set[str] = set()
@@ -809,28 +725,22 @@ def _plain_module_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def run_with_manifest(
+def run(
     files: Sequence[SourceFile],
-    manifest_path: Optional[str] = None,
+    graph: Optional[CallGraph] = None,
+    specs: Optional[Sequence[RootSpec]] = None,
     max_k: int = DEFAULT_MAX_K,
 ) -> List[Finding]:
-    """Run HOT001-006 over functions hot under the given manifest."""
-    specs = load_manifest(manifest_path or DEFAULT_MANIFEST)
-    return run_with_roots(files, specs, max_k)
-
-
-def run_with_roots(
-    files: Sequence[SourceFile],
-    specs: Sequence[RootSpec],
-    max_k: int = DEFAULT_MAX_K,
-) -> List[Finding]:
-    """Manifest-free entry point (tests pass RootSpecs directly)."""
-    graph = build_call_graph(files)
+    """Run HOT001-006 over functions hot under *specs* (default: the
+    shipped manifest); *graph* is built from *files* when not shared."""
+    if graph is None:
+        graph = build_call_graph(files)
+    if specs is None:
+        specs = load_manifest(DEFAULT_MANIFEST)
     roots = resolve_roots(graph, specs)
     if not roots:
         return []
-    hot = hot_functions(graph, roots, max_k)
-    class_table = _collect_classes(files)
+    hot = graph.reachable(roots, max_k)
     plain_by_path: Dict[str, Set[str]] = {}
     for source_file in files:
         if source_file.tree is not None:
@@ -839,22 +749,8 @@ def run_with_roots(
     for key in sorted(hot):
         info = graph.functions[key]
         ctx = _FunctionContext(
-            info, hot[key], graph, class_table, plain_by_path.get(info.path, set())
+            info, hot[key], graph, plain_by_path.get(info.path, set())
         )
         for check in _CHECKS:
             check(ctx, findings)
     return findings
-
-
-def run(files: Sequence[SourceFile]) -> List[Finding]:
-    """Pass entry point with the shipped manifest and default budget."""
-    return run_with_manifest(files, None, DEFAULT_MAX_K)
-
-
-def make_pass(max_k: int, manifest_path: Optional[str] = None):
-    """A Pass closure with a configured budget and manifest (``--hot-manifest``)."""
-
-    def hotpath_pass(files: Sequence[SourceFile]) -> List[Finding]:
-        return run_with_manifest(files, manifest_path, max_k)
-
-    return hotpath_pass

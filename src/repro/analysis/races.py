@@ -1,4 +1,4 @@
-"""Pass 3 — sim race detector (RACE rules).
+"""Same-tick handler races (RACE rules), checked by the effects pass.
 
 Events that land at the same simulated timestamp run in schedule order:
 the kernel's strictly increasing sequence number breaks the tie
@@ -8,21 +8,36 @@ equal timestamp produce whichever outcome the incidental schedule order
 picks, and an innocent reordering of ``schedule()`` calls flips the
 result while every test keeps passing.
 
-This pass approximates, per class, the set of methods used as scheduled
-callbacks / process steps (anything passed to ``schedule``/``spawn``/
-``add_callback``/``bind``) and a static read/write set of ``self.*``
-attributes for each.  Pairs of handlers that can tie then yield:
+Per class, the methods used as scheduled callbacks / process steps
+(anything passed to ``schedule``/``spawn``/``add_callback``/``bind``/...)
+are *handlers*.  Each handler's read/write/mutate/iterate sets over
+``self.*`` come from its effect summary (:mod:`repro.analysis.summaries`),
+which includes everything reachable through up to ``max_k``
+``self.method()`` hops.  Pairs of handlers that can tie then yield one
+finding per (attribute, kind):
 
-* RACE001 ``race-write-write``   — both handlers store the same attribute
-* RACE002 ``race-write-read``    — one stores what the other loads
-* RACE003 ``race-container-iter``— one mutates a container the other iterates
-* RACE004 ``race-loop-capture``  — closure passed to ``schedule`` captures
-  the loop variable (late binding: every callback sees the last value)
+* k = 0 — both sides touch the attribute in the handler body itself:
 
-RACE001–003 are warnings: the tiebreak order is sometimes the designed
-behaviour (state machines stepping themselves).  Reviewed-and-intended
-pairs are annotated ``# oftt-lint: ok[race-write-write]`` on the handler
-``def`` line.  RACE004 is an error — it is a plain bug.
+  - RACE001 ``race-write-write``    — both handlers store the attribute
+  - RACE002 ``race-write-read``     — one stores what the other loads
+  - RACE003 ``race-container-iter`` — one mutates a container the other
+    iterates
+
+* k > 0 — at least one side needs a helper hop, so the finding carries
+  the call chain (``_on_ping_result -> _collect -> clear_callback``):
+  RACE101 ``ip-race-write-write``, RACE102 ``ip-race-write-read``,
+  RACE103 ``ip-race-container``.  A conflict already visible at k = 0 is
+  not reported again at k > 0.
+
+* RACE004 ``race-loop-capture`` — a closure passed to a registrar
+  captures the loop variable (late binding: every callback sees the last
+  value).
+
+The conflict rules are warnings: the tiebreak order is sometimes the
+designed behaviour (state machines stepping themselves).
+Reviewed-and-intended pairs are annotated in place, e.g.
+``# oftt-lint: ok[race-write-write]`` on the anchoring handler's ``def``
+line.  RACE004 is an error — it is a plain bug.
 """
 
 from __future__ import annotations
@@ -31,108 +46,50 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.callgraph import CallGraph, FunctionInfo
 from repro.analysis.findings import Finding, Severity, rule
-from repro.analysis.walker import SourceFile, dotted_name
+from repro.analysis.summaries import Chain, EffectSummary, direct_effects
+from repro.analysis.walker import SourceFile, dotted_name, self_attr
 
 WRITE_WRITE = rule(
-    "RACE001", "race-write-write", Severity.WARNING, "race",
+    "RACE001", "race-write-write", Severity.WARNING, "effects",
     "Two same-tick handlers write one attribute; seq-number order decides.",
 )
 WRITE_READ = rule(
-    "RACE002", "race-write-read", Severity.WARNING, "race",
+    "RACE002", "race-write-read", Severity.WARNING, "effects",
     "A same-tick handler reads what another writes; seq-number order decides.",
 )
 CONTAINER_ITER = rule(
-    "RACE003", "race-container-iter", Severity.WARNING, "race",
+    "RACE003", "race-container-iter", Severity.WARNING, "effects",
     "A same-tick handler mutates a container another iterates.",
 )
 LOOP_CAPTURE = rule(
-    "RACE004", "race-loop-capture", Severity.ERROR, "race",
+    "RACE004", "race-loop-capture", Severity.ERROR, "effects",
     "Callback closure captures the loop variable; all callbacks see the last value.",
+)
+IP_WRITE_WRITE = rule(
+    "RACE101", "ip-race-write-write", Severity.WARNING, "effects",
+    "Same-tick handlers write one attribute through helper calls; order is the seq tiebreak.",
+)
+IP_WRITE_READ = rule(
+    "RACE102", "ip-race-write-read", Severity.WARNING, "effects",
+    "A same-tick handler reads what another writes through a helper call chain.",
+)
+IP_CONTAINER = rule(
+    "RACE103", "ip-race-container", Severity.WARNING, "effects",
+    "A same-tick handler mutates, through helpers, a container another iterates.",
 )
 
 #: Method names through which a callable becomes an event handler.
-#: Shared with the interprocedural effects pass (RACE101–103), which
-#: must agree with this pass on what counts as a same-tick handler.
 REGISTRARS = {"schedule", "add_callback", "bind", "spawn", "on_message", "subscribe"}
 
-#: Container mutators treated as writes to the container attribute.
-_MUTATORS = {
-    "append", "extend", "insert", "remove", "pop", "clear", "add", "discard",
-    "update", "setdefault", "popitem", "appendleft", "popleft",
-}
-
-
-@dataclass
-class _Effects:
-    """Approximate effect set of one method, over ``self.*`` attributes."""
-
-    reads: Set[str] = field(default_factory=set)
-    writes: Set[str] = field(default_factory=set)
-    iterates: Set[str] = field(default_factory=set)
-    mutates: Set[str] = field(default_factory=set)
-    line: int = 0
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``attr`` when *node* is exactly ``self.attr``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _method_effects(func: ast.FunctionDef) -> _Effects:
-    effects = _Effects(line=func.lineno)
-    for node in ast.walk(func):
-        attr = _self_attr(node)
-        if attr is not None:
-            if isinstance(node.ctx, (ast.Store, ast.Del)):  # type: ignore[attr-defined]
-                effects.writes.add(attr)
-            else:
-                effects.reads.add(attr)
-        if isinstance(node, ast.AugAssign):
-            target = _self_attr(node.target)
-            if target is not None:
-                effects.writes.add(target)
-                effects.reads.add(target)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner = _self_attr(node.func.value)
-            if owner is not None and node.func.attr in _MUTATORS:
-                effects.mutates.add(owner)
-                effects.writes.add(owner)
-        if isinstance(node, (ast.Subscript,)):
-            owner = _self_attr(node.value)
-            if owner is not None and isinstance(node.ctx, (ast.Store, ast.Del)):
-                effects.mutates.add(owner)
-                effects.writes.add(owner)
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            owner = _self_attr(node.iter)
-            if owner is None and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Attribute):
-                # for x in self.attr.items()/keys()/values()
-                if node.iter.func.attr in ("items", "keys", "values"):
-                    owner = _self_attr(node.iter.func.value)
-            if owner is not None:
-                effects.iterates.add(owner)
-                effects.reads.add(owner)
-        if isinstance(node, ast.comprehension):
-            owner = _self_attr(node.iter)
-            if owner is not None:
-                effects.iterates.add(owner)
-                effects.reads.add(owner)
-    return effects
+#: One side of a conflict: (handler name, chain to the effect).
+Side = Tuple[str, Chain]
 
 
 @dataclass
 class ClassModel:
-    """One class with its methods and the subset registered as handlers.
-
-    Public because the effects pass (:mod:`repro.analysis.effects`)
-    reuses the same handler attribution for its interprocedural rules.
-    """
+    """One class with its methods and the subset registered as handlers."""
 
     name: str
     path: str
@@ -142,16 +99,23 @@ class ClassModel:
 
 def _callback_method_name(node: ast.AST) -> Optional[str]:
     """``name`` for a ``self.name`` callback reference (or ``self.name()``)."""
-    attr = _self_attr(node)
+    attr = self_attr(node)
     if attr is not None:
         return attr
     if isinstance(node, ast.Call):  # spawn(self._run()) — generator call
-        return _self_attr(node.func)
+        return self_attr(node.func)
     return None
 
 
+def _is_registrar_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    callee = dotted_name(node.func)
+    return callee is not None and callee.split(".")[-1] in REGISTRARS
+
+
 def collect_models(files: Sequence[SourceFile]) -> List[ClassModel]:
-    """Per-class handler models, in file order (shared with effects)."""
+    """Per-class handler models, in file order."""
     models: List[ClassModel] = []
     for source_file in files:
         if source_file.tree is None:
@@ -163,14 +127,11 @@ def collect_models(files: Sequence[SourceFile]) -> List[ClassModel]:
             for stmt in node.body:
                 if isinstance(stmt, ast.FunctionDef):
                     model.methods[stmt.name] = stmt
-            # A method becomes a handler when any method of the class (or
-            # the module around it) registers self.<method> with the kernel.
+            # A method becomes a handler when any method of the class
+            # registers self.<method> with the kernel.
             for func in model.methods.values():
                 for call in ast.walk(func):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    callee = dotted_name(call.func)
-                    if callee is None or callee.split(".")[-1] not in REGISTRARS:
+                    if not _is_registrar_call(call):
                         continue
                     for arg in list(call.args) + [kw.value for kw in call.keywords]:
                         name = _callback_method_name(arg)
@@ -181,24 +142,19 @@ def collect_models(files: Sequence[SourceFile]) -> List[ClassModel]:
 
 
 def _check_loop_capture(source_file: SourceFile) -> List[Finding]:
-    """RACE004: lambda/def in a loop body, capturing the loop variable,
+    """RACE004: lambda in a loop body, capturing the loop variable,
     passed to a registrar."""
     findings: List[Finding] = []
-    tree = source_file.tree
-    if tree is None:
-        return findings
-    for loop in ast.walk(tree):
+    for loop in ast.walk(source_file.tree):
         if not isinstance(loop, (ast.For, ast.AsyncFor)):
             continue
         loop_vars = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
         if not loop_vars:
             continue
         for node in ast.walk(loop):
-            if not isinstance(node, ast.Call):
+            if not _is_registrar_call(node):
                 continue
-            callee = dotted_name(node.func)
-            if callee is None or callee.split(".")[-1] not in REGISTRARS:
-                continue
+            registrar = dotted_name(node.func).split(".")[-1]
             for arg in node.args:
                 if not isinstance(arg, ast.Lambda):
                     continue
@@ -209,61 +165,125 @@ def _check_loop_capture(source_file: SourceFile) -> List[Finding]:
                     if isinstance(n, ast.Name) and n.id in loop_vars and n.id not in lambda_params
                 }
                 if captured:
-                    names = ", ".join(sorted(captured))
                     findings.append(
                         Finding(LOOP_CAPTURE, source_file.path, arg.lineno, arg.col_offset,
-                                f"lambda passed to {callee.split('.')[-1]}() captures loop variable "
-                                f"{names}; bind it as a default or pass it as *args")
+                                f"lambda passed to {registrar}() captures loop variable "
+                                f"{', '.join(sorted(captured))}; bind it as a default or pass it as *args")
                     )
     return findings
 
 
-def run(files: Sequence[SourceFile]) -> List[Finding]:
-    """Pass entry point."""
+def _sides(handlers: Dict[str, EffectSummary], effect: str, attr: str) -> List[Side]:
+    """(handler, chain) for each handler whose *effect* set holds *attr*."""
+    out: List[Side] = []
+    for name in sorted(handlers):
+        chain = getattr(handlers[name], effect).get(attr)
+        if chain is not None:
+            out.append((name, chain))
+    return out
+
+
+def _pairs(lhs: List[Side], rhs: List[Side]) -> List[Tuple[Side, Side]]:
+    """Cross-handler (lhs, rhs) pairs, lhs-major in handler order."""
+    return [(left, right) for left in lhs for right in rhs if left[0] != right[0]]
+
+
+def _direct(sides: List[Side]) -> List[Side]:
+    return [side for side in sides if not side[1]]
+
+
+def _check_handler_conflicts(
+    model: ClassModel, keys: Dict[str, str], handlers: Dict[str, EffectSummary], graph: CallGraph
+) -> List[Finding]:
+    findings: List[Finding] = []
+
+    def report(which, anchor: str, text: str) -> None:
+        findings.append(Finding(which, model.path, model.methods[anchor].lineno, 0, f"{model.name}.{attr} {text}"))
+
+    def route(side: Side) -> str:
+        return graph.route((keys[side[0]],) + side[1])
+
+    attrs: Set[str] = set()
+    for summary in handlers.values():
+        attrs.update(summary.self_writes)
+        attrs.update(summary.self_reads)
+    for attr in sorted(attrs):
+        writers = _sides(handlers, "self_writes", attr)
+        readers = _sides(handlers, "self_reads", attr)
+        mutators = _sides(handlers, "self_mutates", attr)
+        iterators = _sides(handlers, "self_iterates", attr)
+        direct_writers = [name for name, _ in _direct(writers)]
+        dunder = attr.startswith("__")
+
+        # -- k = 0: both sides in the handler bodies (RACE001-003) ------
+        if not dunder:
+            if len(direct_writers) >= 2:
+                report(WRITE_WRITE, direct_writers[0],
+                       f"written by same-tick handlers {', '.join(direct_writers)}; "
+                       f"order is only the seq tiebreak")
+            read_pairs = _pairs(_direct(writers), _direct(readers))
+            if read_pairs:
+                (writer, _), (reader, _) = read_pairs[0]
+                # Write-write supersedes write-read from the first pair of
+                # writers on, taking handler pairs in name order.
+                if len(direct_writers) < 2 or sorted((writer, reader)) < direct_writers[:2]:
+                    report(WRITE_READ, writer,
+                           f"written by {writer} and read by {reader} in same-tick handlers; "
+                           f"order is only the seq tiebreak")
+        # Only the container rule also covers dunder attributes.
+        iter_pairs = _pairs(_direct(mutators), _direct(iterators))
+        if iter_pairs:
+            mutator = iter_pairs[0][0][0]
+            report(CONTAINER_ITER, mutator,
+                   f"mutated by {mutator} while another same-tick handler iterates it")
+        if dunder:
+            continue
+
+        # -- k > 0: conflicts that need a helper hop (RACE101-103) ------
+        if len(writers) >= 2 and len(direct_writers) < 2:
+            report(IP_WRITE_WRITE, writers[0][0],
+                   f"written by same-tick handlers via {'; '.join(route(w) for w in writers)}; "
+                   f"order is only the seq tiebreak")
+            continue
+        # The container rule is classified before write-read: mutates
+        # are writes and iterations are reads, and it is the more
+        # precise diagnosis.
+        iter_pairs = _pairs(mutators, iterators)
+        if iter_pairs and all(m[1] or i[1] for m, i in iter_pairs):
+            mutator, iterator = iter_pairs[0]
+            report(IP_CONTAINER, mutator[0],
+                   f"mutated via {route(mutator)} while {route(iterator)} iterates it "
+                   f"in a same-tick handler")
+        read_pairs = _pairs(writers, readers)
+        if len(writers) < 2 and not iter_pairs and read_pairs and all(w[1] or r[1] for w, r in read_pairs):
+            writer, reader = read_pairs[0]
+            report(IP_WRITE_READ, writer[0],
+                   f"written via {route(writer)} and read via {route(reader)} in same-tick handlers; "
+                   f"order is only the seq tiebreak")
+    return findings
+
+
+def check(
+    files: Sequence[SourceFile], graph: CallGraph, summaries: Dict[str, EffectSummary]
+) -> List[Finding]:
+    """RACE001-004 and RACE101-103 over *files*, given their summaries."""
     findings: List[Finding] = []
     for source_file in files:
-        findings.extend(_check_loop_capture(source_file))
-
+        if source_file.tree is not None:
+            findings.extend(_check_loop_capture(source_file))
+    module_of_path = {f.path: f.module_name for f in files}
     for model in collect_models(files):
-        if len(model.handlers) < 2:
-            continue
-        effects = {name: _method_effects(model.methods[name]) for name in sorted(model.handlers)}
-        # Report one finding per (attribute, kind), naming every handler
-        # involved, anchored at the first writer's def line.
-        reported: Set[Tuple[str, str]] = set()
-        names = sorted(model.handlers)
-        for i, first in enumerate(names):
-            for second in names[i + 1:]:
-                a, b = effects[first], effects[second]
-                for attr in sorted((a.writes & b.writes)):
-                    if attr.startswith("__") or ("ww", attr) in reported:
-                        continue
-                    reported.add(("ww", attr))
-                    writers = sorted(n for n in names if attr in effects[n].writes)
-                    findings.append(
-                        Finding(WRITE_WRITE, model.path, effects[writers[0]].line, 0,
-                                f"{model.name}.{attr} written by same-tick handlers "
-                                f"{', '.join(writers)}; order is only the seq tiebreak")
-                    )
-                for attr in sorted((a.writes & b.reads) | (b.writes & a.reads)):
-                    if attr.startswith("__") or ("wr", attr) in reported or ("ww", attr) in reported:
-                        continue
-                    reported.add(("wr", attr))
-                    writer = first if attr in a.writes else second
-                    reader = second if writer == first else first
-                    findings.append(
-                        Finding(WRITE_READ, model.path, effects[writer].line, 0,
-                                f"{model.name}.{attr} written by {writer} and read by {reader} "
-                                f"in same-tick handlers; order is only the seq tiebreak")
-                    )
-                for attr in sorted((a.mutates & b.iterates) | (b.mutates & a.iterates)):
-                    if ("ci", attr) in reported:
-                        continue
-                    reported.add(("ci", attr))
-                    mutator = first if attr in a.mutates else second
-                    findings.append(
-                        Finding(CONTAINER_ITER, model.path, effects[mutator].line, 0,
-                                f"{model.name}.{attr} mutated by {mutator} while another same-tick "
-                                f"handler iterates it")
-                    )
+        module = module_of_path[model.path]
+        keys: Dict[str, str] = {}
+        handlers: Dict[str, EffectSummary] = {}
+        for name in model.handlers:
+            node = model.methods[name]
+            key = graph.methods.get((module, model.name, name))
+            if key is not None and graph.functions[key].node is node:
+                keys[name], handlers[name] = key, summaries[key]
+            else:  # a nested class is outside the call graph: k = 0 only
+                info = FunctionInfo(name, module, name, model.name, model.path, node)
+                handlers[name] = direct_effects(info, set(), {})
+        if len(handlers) >= 2:
+            findings.extend(_check_handler_conflicts(model, keys, handlers, graph))
     return findings

@@ -35,13 +35,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, Edge, FunctionInfo, positional_params
+from repro.analysis.callgraph import DEFAULT_MAX_K, CallGraph, Edge, FunctionInfo, positional_params
 from repro.analysis.determinism import (
     _ENTROPY_CALLS,
     _RANDOM_DRAWS,
     _WALL_CLOCK_CALLS,
 )
-from repro.analysis.walker import SourceFile, resolve_call_name
+from repro.analysis.walker import SourceFile, dotted_name, resolve_call_name, self_attr
 
 #: A propagation path: keys of the callees traversed, outermost first.
 #: Empty for effects the function performs in its own body.
@@ -52,6 +52,11 @@ MUTATORS = {
     "append", "extend", "insert", "remove", "pop", "clear", "add", "discard",
     "update", "setdefault", "popitem", "appendleft", "popleft", "sort", "reverse",
 }
+
+#: The mutators that grow a container with event count (the hot-path
+#: linear-scan model and the lifecycle unbounded-growth rule share it;
+#: set/dict ``add``/``setdefault`` are excluded, their lookups are O(1)).
+GROWTH_CALLS = {"append", "extend", "insert", "appendleft"}
 
 #: Ambient host reads (resolved dotted callee names) beyond the global
 #: RNG, which is matched structurally below.
@@ -64,17 +69,6 @@ AMBIENT_CALLS = (
 
 #: Ambient attribute reads (no call involved).
 AMBIENT_ATTRS = {"os.environ", "sys.argv"}
-
-
-def self_attr(node: ast.AST) -> Optional[str]:
-    """``attr`` when *node* is exactly ``self.attr``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 @dataclass
@@ -212,7 +206,7 @@ def direct_effects(
                 _record_mutation(summary, node.value, params, is_module_global)
         # -- ambient attribute reads ------------------------------------
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            dotted = _attr_dotted(node)
+            dotted = dotted_name(node)
             if dotted is not None:
                 head, _, rest = dotted.partition(".")
                 resolved = aliases.get(head, head) + (f".{rest}" if rest else "")
@@ -260,18 +254,6 @@ def _record_mutation(summary: EffectSummary, owner: ast.AST, params: Set[str], i
         summary.param_mutations.setdefault(root, ())
     elif is_module_global(root):
         summary.global_writes.setdefault(root, ())
-
-
-def _attr_dotted(node: ast.Attribute) -> Optional[str]:
-    parts: List[str] = []
-    current: ast.AST = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _iterated_self_attr(node: ast.AST) -> Optional[str]:
@@ -349,7 +331,7 @@ def _merge_edge(
 def propagate(
     graph: CallGraph,
     direct: Dict[str, EffectSummary],
-    max_k: int = 2,
+    max_k: int = DEFAULT_MAX_K,
 ) -> Dict[str, EffectSummary]:
     """Fixpoint of callee-into-caller folding, chains bounded by *max_k*.
 
@@ -384,7 +366,7 @@ def propagate(
 def compute_summaries(
     files: Sequence[SourceFile],
     graph: CallGraph,
-    max_k: int = 2,
+    max_k: int = DEFAULT_MAX_K,
 ) -> Dict[str, EffectSummary]:
     """Direct extraction plus propagation for every function in *graph*."""
     globals_by_module: Dict[str, Set[str]] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import SYNTAX_RULE, AnalysisError, Finding
 from repro.analysis.suppress import Suppressions, parse_suppressions
@@ -123,6 +123,44 @@ def run_passes(files: Sequence[SourceFile], passes: Sequence[Pass]) -> List[Find
 
 
 # -- small AST helpers shared by the passes -------------------------------
+
+
+def manifest_lines(path: str, what: str) -> List[Tuple[int, str]]:
+    """(line number, text) of each directive in a ``#``-commented manifest."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise AnalysisError(f"cannot read {what} manifest {path}: {exc}") from exc
+    stripped = [(lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(lines, 1)]
+    return [(lineno, text) for lineno, text in stripped if text]
+
+
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` when *node* is exactly ``self.attr``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def parent_map(root: ast.AST) -> Dict[int, ast.AST]:
+    """``id(child) -> parent`` for every node under *root*."""
+    parents: Dict[int, ast.AST] = {}
+    for parent in ast.walk(root):
+        for child in ast.iter_child_nodes(parent):
+            parents[id(child)] = parent
+    return parents
+
+
+def ancestors(node: ast.AST, parents: Dict[int, ast.AST]) -> Iterator[ast.AST]:
+    """The enclosing nodes of *node*, innermost first."""
+    while id(node) in parents:
+        node = parents[id(node)]
+        yield node
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

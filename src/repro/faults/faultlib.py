@@ -9,7 +9,7 @@ rather than an error, so randomized campaigns compose safely.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import FaultInjectionError
 from repro.nt.system import SystemState
@@ -261,19 +261,35 @@ class NodeReboot(Fault):
         if system.state is SystemState.UP:
             system.power_off()
         system.reboot(extra_delay=self.extra_delay)
-        if self.reinstall and getattr(env, "pair", None) is not None:
-            node = self.node
-
-            def rejoin(booted_system) -> None:
-                # One-shot: boot callbacks persist across reboots, and a
-                # second reinstall on the same boot would collide.
-                booted_system.on_boot.remove(rejoin)
-                env.pair.reinstall_node(node)
-
-            system.on_boot.append(rejoin)
+        # A reboot powered off mid-boot never fires its hook, so the hook
+        # is still pending here; registering a second one would reinstall
+        # twice on the next boot and collide.  One boot, one rejoin.  Boot
+        # hooks are plain callables, so the rejoin is known by its name.
+        pending = any(getattr(hook, "__qualname__", "") == _REJOIN_QUALNAME for hook in system.on_boot)
+        if self.reinstall and getattr(env, "pair", None) is not None and not pending:
+            system.on_boot.append(_rejoin_on_boot(env.pair, self.node))
 
     def describe(self) -> str:
         return f"reboot {self.node} (reinstall={self.reinstall})"
+
+
+def _rejoin_on_boot(pair: Any, node: str) -> Callable[[Any], None]:
+    """One-shot boot hook: reinstall *node*'s OFTT stack when it comes up.
+
+    A closure, not a callable object: the peak memory of a long failover
+    run depends on when CPython's full collection runs, and that moves
+    with how many container objects each reboot leaves alive (PERF.md).
+    """
+
+    def rejoin(booted_system: Any) -> None:
+        # One-shot: boot callbacks persist across reboots.
+        booted_system.on_boot.remove(rejoin)
+        pair.reinstall_node(node)
+
+    return rejoin
+
+
+_REJOIN_QUALNAME = f"{_rejoin_on_boot.__qualname__}.<locals>.rejoin"
 
 
 class ReinstallMiddleware(Fault):

@@ -1,7 +1,7 @@
 """Clean twin of race101: both writes are direct.
 
-This is RACE001 territory — the effects pass must stay silent so the
-conflict is reported (and suppressible) exactly once.
+No helper hop is involved, so the conflict is reported (and
+suppressible) exactly once, as the k = 0 RACE001 — never as RACE101.
 """
 
 
@@ -14,7 +14,7 @@ class Widget:
         self.kernel.schedule(5.0, self.on_tick)
         self.kernel.schedule(5.0, self.on_poll)
 
-    def on_poll(self):
+    def on_poll(self):  # expect: RACE001
         self.state = 2
 
     def on_tick(self):

@@ -1,6 +1,6 @@
 """Clean twin of race102: writer and reader are both direct.
 
-RACE002 territory — the effects pass must not echo it.
+Reported once, as the k = 0 RACE002 — never as RACE102.
 """
 
 
@@ -13,7 +13,7 @@ class Gauge:
         self.kernel.schedule(1.0, self.on_update)
         self.kernel.schedule(1.0, self.on_report)
 
-    def on_update(self):
+    def on_update(self):  # expect: RACE002
         self.reading = 42
 
     def on_report(self):

@@ -1,6 +1,6 @@
 """Clean twin of race103: mutation and iteration both direct.
 
-RACE003 territory — the effects pass must not echo it.
+Reported at k = 0 (RACE003 plus its RACE002 write-read) — never RACE103.
 """
 
 
@@ -13,7 +13,7 @@ class Spool:
         self.kernel.schedule(2.0, self.on_flush)
         self.kernel.schedule(2.0, self.on_scan)
 
-    def on_flush(self):
+    def on_flush(self):  # expect: RACE002, RACE003
         self.items.append(1)
 
     def on_scan(self):

@@ -117,7 +117,7 @@ def test_corrupt_cache_file_is_ignored(tmp_path):
 def test_config_change_invalidates_project_reuse(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(DIRTY_SOURCE, encoding="utf-8")
-    _, det_only = _run(tmp_path, target, extra=["--passes", "det"])
+    _, det_only = _run(tmp_path, target, extra=["--only", "DET"])
     _, all_passes = _run(tmp_path, target)
     assert det_only == all_passes  # same single DET001 either way
     # and both runs share one cache file without confusion
@@ -146,7 +146,7 @@ def test_lifecycle_manifest_edit_invalidates_warm_cache(tmp_path):
     )
     manifest = tmp_path / "life.manifest"
     manifest.write_text("pair timer Kernel.disarm -> cancel\n", encoding="utf-8")
-    extra = ["--passes", "life", "--life-manifest", str(manifest), "--strict"]
+    extra = ["--only", "LIFE", "--life-manifest", str(manifest), "--strict"]
     code, findings = _run(tmp_path, target, extra=extra)
     assert (code, findings) == (0, [])  # `arm` is not an acquire yet
     # The manifest gains the pair; the warm cache must not mask it.

@@ -2,7 +2,9 @@
 
 The dogfood gate is the point of the whole subsystem: the analyzer must
 pass over its own repository (``python -m repro.analysis src/repro``
-exits 0), and must fail loudly the moment a violation is introduced.
+exits 0 with every rule family on), and must fail loudly the moment a
+violation is introduced.  Paths are anchored at the repository root, so
+the gate holds whatever directory pytest runs from.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ def run_cli(args, capsys):
 
 
 def test_repo_is_clean_in_strict_mode(capsys):
-    code, out = run_cli([SRC_REPRO, "--strict"], capsys)
+    # Every family, including the manifest-driven HOT and LIFE passes.
+    code, out = run_cli([SRC_REPRO, "--strict", "--no-cache"], capsys)
     assert code == 0, f"analysis found violations:\n{out}"
     assert "0 finding(s)" in out
+    assert "passes: det, com, effects, hot, life" in out
 
 
 def test_repo_is_clean_via_module_invocation():
@@ -44,7 +48,7 @@ def test_repo_is_clean_via_module_invocation():
         env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert "passes: det, com, race" in completed.stdout
+    assert "passes: det, com, effects, hot, life" in completed.stdout
 
 
 def test_seeded_violation_flips_the_gate(tmp_path, capsys):
@@ -64,13 +68,13 @@ def test_seeded_violation_flips_the_gate(tmp_path, capsys):
 def test_pass_selection_runs_only_requested_pass(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\n\n\ndef f():\n    return time.time()\n", encoding="utf-8")
-    code, out = run_cli([str(bad), "--passes", "com,race"], capsys)
+    code, out = run_cli([str(bad), "--only", "COM,RACE"], capsys)
     assert code == 0  # determinism pass not selected
-    assert "passes: com, race" in out
+    assert "passes: com, effects" in out
 
 
 def test_unknown_pass_is_a_usage_error(capsys):
-    assert main([SRC_REPRO, "--passes", "nope"]) == 2
+    assert main([SRC_REPRO, "--only", "nope"]) == 2
 
 
 def test_missing_path_is_a_usage_error(capsys):
@@ -126,7 +130,7 @@ def test_list_rules_catalogue(capsys):
     assert "# LIFE" in out
 
 
-def test_effects_flag_appends_the_effects_pass(tmp_path, capsys):
+def test_default_run_covers_every_family(tmp_path, capsys):
     bad = tmp_path / "impure.py"
     bad.write_text(
         "from repro.perf.executor import parallel_map\n"
@@ -143,39 +147,27 @@ def test_effects_flag_appends_the_effects_pass(tmp_path, capsys):
         "    return parallel_map(record, vs)\n",
         encoding="utf-8",
     )
-    default_code, default_out = run_cli([str(bad)], capsys)
-    effects_code, effects_out = run_cli([str(bad), "--effects"], capsys)
-    assert default_code == 0 and "PURE001" not in default_out
-    assert effects_code == 1 and "PURE001" in effects_out
-    assert "passes: det, com, race, effects" in effects_out
+    code, out = run_cli([str(bad)], capsys)
+    assert code == 1 and "PURE001" in out
+    assert "passes: det, com, effects, hot, life" in out
 
 
-def test_max_k_zero_disables_propagation(tmp_path, capsys):
-    racy = tmp_path / "chained.py"
-    racy.write_text(
-        "class Widget:\n"
-        "    def start(self):\n"
-        "        self.kernel.schedule(1.0, self.on_a)\n"
-        "        self.kernel.schedule(1.0, self.on_b)\n"
-        "\n"
-        "    def on_a(self):\n"
-        "        self._set()\n"
-        "\n"
-        "    def _set(self):\n"
-        "        self.state = 1\n"
-        "\n"
-        "    def on_b(self):\n"
-        "        self.state = 2\n",
-        encoding="utf-8",
-    )
-    deep, deep_out = run_cli([str(racy), "--passes", "effects", "--strict"], capsys)
-    shallow, _ = run_cli([str(racy), "--passes", "effects", "--strict", "--max-k", "0"], capsys)
-    assert deep == 1 and "RACE101" in deep_out
-    assert shallow == 0
+def test_call_graph_is_built_once_per_run(tmp_path, capsys, monkeypatch):
+    from repro.analysis import callgraph, cli, effects, hotpath, lifecycle
 
+    calls = []
 
-def test_negative_max_k_is_a_usage_error(capsys):
-    assert main([SRC_REPRO, "--effects", "--max-k", "-1"]) == 2
+    def counting(files):
+        calls.append(1)
+        return callgraph.build_call_graph(files)
+
+    for module in (cli, effects, hotpath, lifecycle):
+        monkeypatch.setattr(module, "build_call_graph", counting)
+    target = tmp_path / "mod.py"
+    target.write_text("def f():\n    return 1\n", encoding="utf-8")
+    code, _ = run_cli([str(target), "--no-cache"], capsys)
+    assert code == 0
+    assert calls == [1]  # shared by effects, hot and life
 
 
 def test_syntax_error_is_reported_not_crashed(tmp_path, capsys):
@@ -235,14 +227,15 @@ def test_relax_bad_spec_and_unknown_rule_are_usage_errors(capsys):
 
 def test_tests_tree_is_clean_under_the_test_profile(capsys):
     # Mirrors `make lint-tests`: the planted-defect corpus legitimately
-    # violates the race and purity rules, so those are relaxed for it.
+    # violates the race, purity and lifecycle rules, so those are relaxed.
     tests_dir = os.path.join(REPO_ROOT, "tests")
     corpus_dir = os.path.join(tests_dir, "analysis", "corpus")
     code, out = run_cli(
         [
-            tests_dir, "--strict", "--effects",
+            tests_dir, "--strict",
             "--relax", f"{tests_dir}=DET002,DET003,DET006,PURE001,PURE002,PURE003,PURE004",
-            "--relax", f"{corpus_dir}=RACE001,RACE002,RACE003,RACE101,RACE102,RACE103",
+            "--relax", f"{corpus_dir}=RACE001,RACE002,RACE003,RACE101,RACE102,RACE103,"
+                       "LIFE001,LIFE002,LIFE003,LIFE004,LIFE005,LIFE006",
         ],
         capsys,
     )

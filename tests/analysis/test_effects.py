@@ -9,7 +9,7 @@ from tests.analysis.util import analyze, rule_ids
 
 
 def run(source: str, max_k: int = effects.DEFAULT_MAX_K, path: str = "pkg/mod.py"):
-    return analyze(source, effects.make_pass(max_k), path=path)
+    return analyze(source, lambda files: effects.run(files, max_k=max_k), path=path)
 
 
 # -- RACE101 interprocedural write/write ----------------------------------
@@ -48,9 +48,9 @@ def test_max_k_bounds_the_chain_depth():
 
 
 def test_direct_direct_conflicts_are_left_to_race001():
-    # Both handlers write in their own bodies: RACE001 territory, and the
-    # effects pass must not double-report it.
-    assert run(
+    # Both handlers write in their own bodies: a k = 0 conflict, reported
+    # once as RACE001 and never double-reported as RACE101.
+    findings = run(
         """
         class Widget:
             def start(self):
@@ -63,7 +63,9 @@ def test_direct_direct_conflicts_are_left_to_race001():
             def on_poll(self):
                 self.state = 2
         """
-    ) == []
+    )
+    assert rule_ids(findings) == ["RACE001"]
+    assert "handlers on_poll, on_tick;" in findings[0].message
 
 
 def test_recursive_helpers_terminate():
@@ -136,7 +138,8 @@ def test_write_read_with_chained_writer():
 
 
 def test_write_read_quiet_when_both_sides_are_direct():
-    assert run(
+    # Quiet at k > 0: the direct pair is the k = 0 RACE002, not RACE102.
+    findings = run(
         """
         class Gauge:
             def start(self):
@@ -149,7 +152,8 @@ def test_write_read_quiet_when_both_sides_are_direct():
             def on_report(self):
                 return self.reading
         """
-    ) == []
+    )
+    assert rule_ids(findings) == ["RACE002"]
 
 
 # -- RACE103 interprocedural container conflicts ---------------------------

@@ -29,7 +29,7 @@ def hot_findings(name):
     files, load_findings = load_sources([os.path.join(CORPUS, name)])
     assert load_findings == [], f"{name} failed to load cleanly"
     roots = [RootSpec(name[: -len(".py")], "Hot.run")]
-    return run_passes(files, [lambda fs: hotpath.run_with_roots(fs, roots)])
+    return run_passes(files, [lambda fs: hotpath.run(fs, specs=roots)])
 
 
 def expected_marker(name):

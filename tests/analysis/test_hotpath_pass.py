@@ -11,13 +11,17 @@ from repro.analysis.findings import AnalysisError
 from repro.analysis.hotpath import RootSpec
 from repro.analysis.walker import load_sources, run_passes
 
+SRC_REPRO = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+)
+
 
 def _lint(tmp_path, source, roots, max_k=2, name="mod.py"):
     path = tmp_path / name
     path.write_text(source, encoding="utf-8")
     files, load_findings = load_sources([str(path)])
     assert load_findings == []
-    return hotpath.run_with_roots(files, roots, max_k)
+    return hotpath.run(files, specs=roots, max_k=max_k)
 
 
 PROPAGATION_SOURCE = '''
@@ -91,7 +95,7 @@ def test_suppression_comment_silences_hot_finding(tmp_path):
     path.write_text(source, encoding="utf-8")
     files, _ = load_sources([str(path)])
     roots = [RootSpec("mod", "Hot.run")]
-    findings = run_passes(files, [lambda fs: hotpath.run_with_roots(fs, roots)])
+    findings = run_passes(files, [lambda fs: hotpath.run(fs, specs=roots)])
     assert findings == []
 
 
@@ -177,7 +181,7 @@ def test_default_manifest_is_checked_in_and_parses():
 # -- CLI integration -------------------------------------------------------
 
 
-def test_cli_hotpath_flag_runs_the_pass(tmp_path, capsys):
+def test_cli_hot_manifest_selects_the_roots(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text(
         "import math\n\n\nclass Hot:\n    def run(self):\n        return math.sqrt(2.0)\n",
@@ -185,25 +189,20 @@ def test_cli_hotpath_flag_runs_the_pass(tmp_path, capsys):
     )
     manifest = tmp_path / "roots.manifest"
     manifest.write_text("mod:Hot.run\n", encoding="utf-8")
-    code = cli.main(
-        [
-            str(target),
-            "--passes", "hot",
-            "--hotpath",
-            "--hot-manifest", str(manifest),
-            "--strict",
-            "--no-cache",
-        ]
-    )
+    argv = [str(target), "--only", "HOT", "--strict", "--no-cache"]
+    assert cli.main(argv) == 0  # the shipped manifest does not name Hot.run
+    capsys.readouterr()
+    code = cli.main(argv + ["--hot-manifest", str(manifest)])
     out = capsys.readouterr().out
     assert code == 1  # warnings gate under --strict
     assert "HOT006" in out
+    assert "passes: hot" in out
 
 
 def test_cli_dogfood_hotpath_is_clean_over_src():
-    # The acceptance bar: the shipped manifest over src/repro yields
-    # zero unsuppressed hot findings (fixed or annotated reviewed-benign).
-    files, load_findings = load_sources([os.path.join("src", "repro")])
+    # The acceptance bar: the shipped manifest over src/repro yields zero
+    # unsuppressed hot findings (fixed or annotated reviewed-benign).
+    files, load_findings = load_sources([SRC_REPRO])
     assert load_findings == []
     findings = run_passes(files, [hotpath.run])
     assert findings == []

@@ -11,6 +11,10 @@ from repro.analysis.findings import AnalysisError
 from repro.analysis.lifecycle import LifecycleSpec, PairSpec
 from repro.analysis.walker import load_sources, run_passes
 
+SRC_REPRO = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+)
+
 TIMER_SPEC = LifecycleSpec(
     pairs=(PairSpec("timer", "Kernel", "schedule", None, ("cancel",)),),
     teardowns=("close", "delete", "shutdown", "stop"),
@@ -29,7 +33,7 @@ def _lint(tmp_path, source, spec, max_k=2, name="mod.py"):
     path.write_text(source, encoding="utf-8")
     files, load_findings = load_sources([str(path)])
     assert load_findings == []
-    return lifecycle.run_with_spec(files, spec, max_k)
+    return lifecycle.run(files, spec=spec, max_k=max_k)
 
 
 def _ids(findings):
@@ -367,7 +371,7 @@ def test_suppression_comment_silences_lifecycle_finding(tmp_path):
     path.write_text(source, encoding="utf-8")
     files, load_findings = load_sources([str(path)])
     assert load_findings == []
-    assert run_passes(files, [lambda fs: lifecycle.run_with_spec(fs, TIMER_SPEC)]) == []
+    assert run_passes(files, [lambda fs: lifecycle.run(fs, spec=TIMER_SPEC)]) == []
 
 
 # -- CLI wiring ------------------------------------------------------------
@@ -393,7 +397,7 @@ LEAKY_CLI_SOURCE = (
 def test_cli_lifecycle_flag_runs_the_pass(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text(LEAKY_CLI_SOURCE, encoding="utf-8")
-    code = cli.main([str(target), "--passes", "life", "--strict", "--no-cache"])
+    code = cli.main([str(target), "--only", "LIFE", "--strict", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 1  # warnings gate under --strict
     assert "LIFE001" in out
@@ -427,7 +431,7 @@ def test_list_rules_is_grouped_by_family(capsys):
 def test_cli_dogfood_lifecycle_is_clean_over_src():
     # The acceptance bar: the shipped manifest over src/repro yields zero
     # unsuppressed lifecycle findings (fixed or annotated reviewed-benign).
-    files, load_findings = load_sources([os.path.join("src", "repro")])
+    files, load_findings = load_sources([SRC_REPRO])
     assert load_findings == []
     findings = run_passes(files, [lifecycle.run])
     assert findings == []

@@ -1,14 +1,14 @@
-"""Self-tests for the sim race detector."""
+"""Self-tests for the k = 0 race rules (RACE001-004) of the effects pass."""
 
 from __future__ import annotations
 
-from repro.analysis import races
+from repro.analysis import effects
 
 from tests.analysis.util import analyze, rule_ids
 
 
 def race(source: str):
-    return analyze(source, races.run)
+    return analyze(source, effects.run)
 
 
 # -- RACE001 write/write -------------------------------------------------
@@ -173,3 +173,26 @@ def test_handlers_must_be_scheduled_to_pair():
                 self.x = 2
         """
     ) == []
+
+
+def test_handlers_of_a_nested_class_still_pair():
+    # Classes defined inside a function are outside the call graph; their
+    # handler bodies are still compared at k = 0.
+    findings = race(
+        """
+        def build():
+            class Pump:
+                def start(self):
+                    self.kernel.schedule(5.0, self._open_valve)
+                    self.kernel.schedule(5.0, self._close_valve)
+
+                def _open_valve(self):
+                    self.valve = "open"
+
+                def _close_valve(self):
+                    self.valve = "closed"
+
+            return Pump
+        """
+    )
+    assert rule_ids(findings) == ["RACE001"]

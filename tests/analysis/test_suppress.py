@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis import determinism, races
+from repro.analysis import determinism, effects
 from repro.analysis.findings import Severity
 from repro.analysis.report import JSON_SCHEMA, render_json, render_text, severity_counts
 from repro.analysis.walker import load_sources
@@ -195,7 +195,7 @@ def test_severity_counts_cover_warnings():
             def _b(self):
                 self.valve = 2
         """,
-        races.run,
+        effects.run,
     )
     assert [f.severity for f in findings] == [Severity.WARNING]
     assert severity_counts(findings) == {"error": 0, "warning": 1, "info": 0}

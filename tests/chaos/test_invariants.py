@@ -300,6 +300,22 @@ def test_clean_run_has_no_violations():
     assert result.workload_sent > 0
 
 
+def test_reboot_failed_mid_boot_then_rebooted_rejoins_once():
+    # The first reboot's rejoin hook never fires (the node dies while
+    # BOOTING); the second reboot must not add a second hook, or both
+    # reinstall the engine on the next boot and collide.
+    schedule = ChaosSchedule(
+        entries=[
+            FaultEntry(5_000.0, "node-reboot", {"node": "alpha"}),
+            FaultEntry(5_050.0, "node-failure", {"node": "alpha"}),
+            FaultEntry(8_000.0, "node-reboot", {"node": "alpha"}),
+        ],
+        horizon=20_000.0,
+    )
+    result = run_schedule(0, schedule)
+    assert result.passed, result.violation_names()
+
+
 def test_sabotaged_run_is_caught_by_split_brain_monitor():
     schedule = ChaosSchedule(entries=list(SELF_TEST_ENTRIES), horizon=SELF_TEST_HORIZON)
     result = run_schedule(0, schedule, sabotage_name=SELF_TEST_SABOTAGE)
