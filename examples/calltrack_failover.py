@@ -16,9 +16,8 @@ printed before and after, along with the System Monitor display.
 Run:  python examples/calltrack_failover.py
 """
 
-from repro.faults import AppCrash, BlueScreen, MiddlewareCrash, NodeFailure, NodeReboot
+from repro.faults import AppCrash, BlueScreen, MiddlewareCrash, NodeFailure
 from repro.faults.campaign import Campaign
-from repro.faults.injector import FaultInjector
 from repro.harness.scenario import build_demo
 
 
@@ -35,7 +34,6 @@ def main() -> None:
     print()
 
     campaign = Campaign(demo.kernel, demo, settle_timeout=30_000.0)
-    injector = FaultInjector(demo.kernel, demo)
     demo_faults = [
         ("a", "node failure", lambda node: NodeFailure(node)),
         ("b", "NT crash (bluescreen)", lambda node: BlueScreen(node)),
@@ -55,11 +53,7 @@ def main() -> None:
             f" {'switched to ' + survivor if record.switched_over else 'recovered in place'})"
         )
         # Repair before the next case.
-        system = demo.systems[primary]
-        if system.state.value in ("off", "bluescreen"):
-            injector.inject_now(NodeReboot(primary, reinstall=True))
-        elif not demo.pair.engines[primary].alive:
-            demo.pair.reinstall_node(primary)
+        campaign.repair(primary)
         demo.run_for(10_000.0)
         app = demo.primary_app()
         lost = demo.history.event_count - app.events_processed()

@@ -80,12 +80,6 @@ class InvariantMonitor:
         self.violations.append(Violation(invariant=self.name, time=time, detail=detail))
 
 
-def _connected_both_ways(scenario: Any) -> bool:
-    a, b = scenario.pair.node_names
-    network = scenario.network
-    return network.path_ok(a, b) and network.path_ok(b, a)
-
-
 class SplitBrainMonitor(InvariantMonitor):
     """Exactly one active primary whenever the pair can talk.
 
@@ -115,12 +109,8 @@ class SplitBrainMonitor(InvariantMonitor):
 
     def on_tick(self, scenario: Any, now: float) -> None:
         pair = scenario.pair
-        primaries = [
-            name
-            for name in pair.node_names
-            if pair.engines[name].alive and pair.engines[name].role is Role.PRIMARY
-        ]
-        dual = len(primaries) > 1 and _connected_both_ways(scenario)
+        primaries = pair.primaries()
+        dual = len(primaries) > 1 and scenario.network.connected(*pair.node_names)
         if not dual:
             self._since = -1.0
             self._reported = False
@@ -143,12 +133,7 @@ class SplitBrainMonitor(InvariantMonitor):
             self._dr_since = -1.0
             self._dr_reported = False
             return
-        network = scenario.network
-        serving = [
-            name
-            for name in primaries
-            if network.path_ok(name, dr_site.node_name) and network.path_ok(dr_site.node_name, name)
-        ]
+        serving = [name for name in primaries if scenario.network.connected(name, dr_site.node_name)]
         if not serving:
             self._dr_since = -1.0
             self._dr_reported = False
@@ -351,7 +336,7 @@ class HeartbeatLivenessMonitor(InvariantMonitor):
     def on_tick(self, scenario: Any, now: float) -> None:
         pair = scenario.pair
         both_alive = all(pair.engines[name].alive for name in pair.node_names)
-        if not (both_alive and _connected_both_ways(scenario)):
+        if not (both_alive and scenario.network.connected(*pair.node_names)):
             self._healthy_since = -1.0
             self._suspect_since.clear()
             self._reported = False
@@ -421,12 +406,8 @@ class ReplicaFreshnessMonitor(InvariantMonitor):
             return
         pair = scenario.pair
         both_alive = all(pair.engines[name].alive for name in pair.node_names)
-        primaries = [
-            name
-            for name in pair.node_names
-            if pair.engines[name].alive and pair.engines[name].role is Role.PRIMARY
-        ]
-        if not (both_alive and len(primaries) == 1 and _connected_both_ways(scenario)):
+        primaries = pair.primaries()
+        if not (both_alive and len(primaries) == 1 and scenario.network.connected(*pair.node_names)):
             self._healthy_since = -1.0
             self._target = None
             self._reported = False

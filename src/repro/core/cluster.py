@@ -153,14 +153,19 @@ class OfttPair:
         """The application copy on node *name*."""
         return self.apps[name]
 
-    def primary_node(self) -> Optional[str]:
-        """The node whose live engine currently holds PRIMARY (None if
-        none, which happens transiently during negotiation/switchover)."""
-        primaries = [
+    def primaries(self) -> List[str]:
+        """Nodes whose live engine holds PRIMARY, in node order (two
+        during a split brain, none during negotiation/switchover)."""
+        return [
             name
             for name in self.node_names
             if self.engines[name].alive and self.engines[name].role is Role.PRIMARY
         ]
+
+    def primary_node(self) -> Optional[str]:
+        """The node whose live engine currently holds PRIMARY (None if
+        none, which happens transiently during negotiation/switchover)."""
+        primaries = self.primaries()
         if len(primaries) > 1:
             raise OfttError(f"dual primary: {primaries}")
         return primaries[0] if primaries else None

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import OfttError
-from repro.faults.faultlib import Fault
+from repro.faults.faultlib import Fault, NodeReboot
 from repro.faults.injector import FaultInjector
+from repro.nt.system import SystemState
 from repro.simnet.kernel import SimKernel
 from repro.simnet.trace import quantize
 
@@ -111,6 +112,19 @@ class Campaign:
             self.run_fault(fault)
             self.kernel.run(until=self.kernel.now + self.inter_fault_gap)
         return self.records
+
+    def repair(self, node: str) -> None:
+        """The §4 repair between demonstrations: bring *node* back as backup.
+
+        A machine that is off or blue-screened is rebooted (its OFTT stack
+        reinstalls on boot); a machine that stayed up but lost its engine
+        gets the middleware reinstalled.  A machine that is still BOOTING
+        is left alone: its pending boot already rejoins the pair.
+        """
+        if self.env.systems[node].state in (SystemState.OFF, SystemState.BLUESCREEN):
+            self.injector.inject_now(NodeReboot(node, reinstall=True))
+        elif not self.env.pair.engines[node].alive:
+            self.env.pair.reinstall_node(node)
 
     def _safe_primary(self) -> Optional[str]:
         try:

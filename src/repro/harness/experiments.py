@@ -1,8 +1,10 @@
 """Experiment runners — one per entry of the DESIGN.md experiment index.
 
 Every function is deterministic for a given seed and returns plain data
-(dicts/lists) that the benchmarks print via
-:mod:`~repro.harness.reporting` and that EXPERIMENTS.md records.
+(dicts/lists).  :mod:`~repro.harness.run_experiments` holds the published
+seed and parameters of each one and prints it via
+:mod:`~repro.harness.reporting`; EXPERIMENTS.md records that output and
+``tests/integration/test_published_claims.py`` checks its claims.
 
 Experiment ids:
 
@@ -18,6 +20,10 @@ X4        diverter vs naive sender: message loss on switchover
 X5        recovery rules: local restart vs failover
 X6        DCOM RPC failure behaviour vs OFTT detection
 X7        API transparency levels: overhead vs staleness
+A1        ablation: single vs dual Ethernet under a NIC failure
+A2        ablation: heartbeat timeout vs false takeovers on loss
+A3        ablation: checkpoint period vs traffic vs staleness
+BL        monitoring blackout across a station power-off
 ========  ====================================================
 """
 
@@ -26,11 +32,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.apps.synthetic import SyntheticStateApp
-from repro.core.cluster import OfttPair
 from repro.core.config import GiveUpPolicy, OfttConfig, RecoveryRule, replace_config
-from repro.core.engine import ENGINE_PORT
 from repro.core.roles import Role
-from repro.errors import OfttError
 from repro.faults.campaign import Campaign
 from repro.faults.faultlib import (
     AppCrash,
@@ -38,7 +41,6 @@ from repro.faults.faultlib import (
     BlueScreen,
     MiddlewareCrash,
     NodeFailure,
-    NodeReboot,
     TransientAppCrash,
 )
 from repro.faults.injector import FaultInjector
@@ -224,14 +226,7 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
                 "events_lost": (demo.history.event_count - app_after.events_processed()) if app_after else None,
             }
         )
-        # Repair: bring the failed machine back and rejoin the pair —
-        # except for demo (c)/(d) process-level faults, where the machine
-        # never went down.
-        failed_system = demo.systems[primary]
-        if failed_system.state.value in ("off", "bluescreen"):
-            FaultInjector(demo.kernel, demo).inject_now(NodeReboot(primary, reinstall=True))
-        elif not demo.pair.engines[primary].alive:
-            demo.pair.reinstall_node(primary)
+        campaign.repair(primary)
         demo.run_for(gap)
     return rows
 
@@ -239,26 +234,6 @@ def exp_failover_demos(seed: int = 0, warmup: float = 20_000.0, gap: float = 10_
 # ---------------------------------------------------------------------------
 # X1 — checkpoint cost
 # ---------------------------------------------------------------------------
-
-def _pair_env(seed: int, config: OfttConfig, app_factory):
-    """A minimal two-node environment hosting an arbitrary app pair."""
-    return build_pair_env(seed=seed, config=config, app_factory=app_factory)
-
-
-def _BaseInit(scenario: DemoScenario, seed: int) -> None:
-    scenario.seed = seed
-    scenario.kernel = SimKernel()
-    scenario.rngs = RngStreams(seed)
-    scenario.trace = TraceLog(clock=lambda: scenario.kernel.now)
-    scenario.network = Network(scenario.kernel, scenario.rngs, scenario.trace)
-    from repro.simnet.partitions import PartitionController
-
-    scenario.partitions = PartitionController(scenario.network)
-    scenario.systems = {}
-    scenario.fieldbuses = {}
-    scenario.lans = ["lan0"]
-    scenario.network.add_link("lan0", latency=0.5, jitter=0.1)
-
 
 def exp_checkpoint_cost(
     seed: int = 0,
@@ -270,10 +245,8 @@ def exp_checkpoint_cost(
     rows: List[Dict[str, Any]] = []
     for cold_kb in cold_sizes_kb:
         for mode in ("full", "selective", "incremental"):
-            scenario = _pair_env(
-                seed,
-                OfttConfig(),
-                lambda m=mode, c=cold_kb: SyntheticStateApp(cold_kb=c, mode=m),
+            scenario = build_pair_env(
+                seed, OfttConfig(), lambda m=mode, c=cold_kb: SyntheticStateApp(cold_kb=c, mode=m)
             )
             scenario.pair.start()
             scenario.pair.settle()
@@ -323,7 +296,7 @@ def exp_detection_latency(
             heartbeat_period=setting["period"],
             heartbeat_timeout=setting["timeout"],
         )
-        scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=4, mode="selective"))
+        scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=4, mode="selective"))
         scenario.pair.start()
         scenario.pair.settle()
         scenario.run_for(warmup)
@@ -414,16 +387,8 @@ def _run_startup_once(seed: int, config: OfttConfig, boot_jitter: float) -> str:
 
     # Engines start as soon as each machine finishes its (skewed) boot —
     # the §3.2 situation: the early node negotiates against silence.
-    pair_holder: Dict[str, Any] = {}
-
-    def on_boot(system: NTSystem) -> None:
-        if "pair" not in pair_holder:
-            if all(s.is_up for s in systems.values()):
-                pass  # both up simultaneously is handled below anyway
-        # Engines are installed per-node as that node comes up.
-
-    # Build the pair lazily: install each node's engine at its boot time.
-    # OfttPair wants both systems up, so replicate its wiring manually.
+    # OfttPair wants both systems up, so install each node's engine at its
+    # own boot time with OfttPair's wiring replicated here.
     from repro.com.runtime import ComRuntime
     from repro.core.appdriver import NodeContext
     from repro.core.engine import OfttEngine
@@ -562,7 +527,7 @@ def exp_recovery_rules(seed: int = 0, warmup: float = 15_000.0) -> List[Dict[str
         ("always-failover", RecoveryRule.always_failover()),
     ):
         config = OfttConfig().with_rule("synthetic", rule)
-        scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=8, mode="selective"))
+        scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=8, mode="selective"))
         scenario.pair.start()
         scenario.pair.settle()
         scenario.run_for(warmup)
@@ -608,7 +573,7 @@ def exp_dcom(seed: int = 0) -> Dict[str, Any]:
             return "pong"
 
     config = OfttConfig()
-    scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
+    scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
     scenario.pair.start()
     scenario.pair.settle()
     scenario.run_for(5_000.0)
@@ -728,28 +693,6 @@ def _force_full_checkpoints(demo: DemoScenario) -> None:
 # Ablations — design choices DESIGN.md calls out
 # ---------------------------------------------------------------------------
 
-def _pair_env_dual_lan(seed: int, config: OfttConfig, app_factory, lans: int) -> DemoScenario:
-    """Two-node pair attached to *lans* redundant Ethernet segments."""
-    scenario = object.__new__(DemoScenario)
-    _BaseInit(scenario, seed)
-    if lans > 1:
-        for index in range(1, lans):
-            scenario.network.add_link(f"lan{index}", latency=0.5, jitter=0.1)
-            scenario.lans.append(f"lan{index}")
-    for name in ("alpha", "beta"):
-        scenario._add_machine(name).boot_immediately()
-    scenario.config = config
-    scenario.pair = OfttPair(
-        network=scenario.network,
-        systems={name: scenario.systems[name] for name in ("alpha", "beta")},
-        config=config,
-        app_factory=app_factory,
-        unit="bench",
-        trace=scenario.trace,
-    )
-    return scenario
-
-
 def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float = 10_000.0) -> List[Dict[str, Any]]:
     """Dual vs single Ethernet (§2.1): NIC failure on the pair's link.
 
@@ -760,8 +703,8 @@ def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float
     """
     rows: List[Dict[str, Any]] = []
     for lans in (1, 2):
-        scenario = _pair_env_dual_lan(
-            seed, OfttConfig(), lambda: SyntheticStateApp(cold_kb=2, mode="selective"), lans
+        scenario = build_pair_env(
+            seed, OfttConfig(), lambda: SyntheticStateApp(cold_kb=2, mode="selective"), dual_lan=lans > 1
         )
         scenario.pair.start()
         scenario.pair.settle()
@@ -775,12 +718,7 @@ def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float
         while elapsed < observe:
             scenario.run_for(step)
             elapsed += step
-            roles = [
-                scenario.pair.engines[name].role.value
-                for name in scenario.pair.node_names
-                if scenario.pair.engines[name].alive
-            ]
-            if roles.count("primary") > 1:
+            if len(scenario.pair.primaries()) > 1:
                 dual_primary_window += step
         # Heal and let the pair resolve.
         scenario.network.nodes[primary].nic_up("lan0")
@@ -824,7 +762,7 @@ def exp_ablation_heartbeat_loss(
                 peer_heartbeat_timeout=timeout,
                 peer_heartbeat_period=100.0,
             )
-            scenario = _pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
+            scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
             scenario.pair.start()
             scenario.pair.settle()
             scenario.network.links["lan0"].loss = loss
@@ -856,7 +794,7 @@ def exp_ablation_checkpoint_period(
     periods = periods if periods is not None else [250.0, 1_000.0, 4_000.0]
     rows: List[Dict[str, Any]] = []
     for period in periods:
-        scenario = _pair_env(
+        scenario = build_pair_env(
             seed,
             OfttConfig(),
             lambda p=period: SyntheticStateApp(cold_kb=4, mode="selective", tick_period=50.0, checkpoint_period=p),

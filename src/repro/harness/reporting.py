@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results.
 
-Benchmarks print through these helpers so the console output of
-``pytest benchmarks/ --benchmark-only`` doubles as the regenerated
-"tables" recorded in EXPERIMENTS.md.
+:mod:`~repro.harness.run_experiments` prints through these helpers, so
+its console output is the regenerated "tables" recorded in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations

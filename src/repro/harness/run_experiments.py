@@ -1,6 +1,9 @@
 """Run every experiment in the DESIGN.md index and print its table.
 
-This is how EXPERIMENTS.md's "measured" columns are produced::
+:data:`EXPERIMENTS` is the one place the published seed and parameters
+of each experiment are written.  This is how EXPERIMENTS.md's "measured"
+columns are produced, and ``tests/integration/test_published_claims.py``
+checks every claim those tables make against the same registry::
 
     python -m repro.harness.run_experiments            # everything
     python -m repro.harness.run_experiments X1 X3      # a subset
@@ -21,14 +24,14 @@ byte-identical for any worker count::
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 # oftt-lint: file-ok[ambient-io] -- the experiment runner is the host-side CLI.
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import experiments as E
 from repro.harness.reporting import format_dict, format_table
-from repro.perf.executor import parallel_map
+from repro.perf.executor import add_jobs_argument, parallel_map
 from repro.simnet.trace import canonical_value
 
 # id -> (title, runner)
@@ -108,40 +111,31 @@ def replay_check(ids: List[str], jobs: int = 1) -> int:
     return 1 if failures else 0
 
 
-def main(argv: List[str]) -> int:
-    check_mode = "--replay-check" in argv
-    args = [arg for arg in argv if arg != "--replay-check"]
-    jobs = 1
-    cleaned: List[str] = []
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--jobs" or arg.startswith("--jobs="):
-            value = arg.partition("=")[2]
-            if not value:
-                index += 1
-                if index >= len(args):
-                    print("--jobs requires a value")
-                    return 2
-                value = args[index]
-            try:
-                jobs = int(value)
-            except ValueError:
-                print(f"bad --jobs value {value!r}")
-                return 2
-        else:
-            cleaned.append(arg)
-        index += 1
-    requested = cleaned or list(EXPERIMENTS)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness.run_experiments",
+        description="Run the DESIGN.md experiments and print their published tables.",
+    )
+    parser.add_argument("ids", nargs="*", metavar="ID",
+                        help="experiment ids to run, in order (default: all)")
+    parser.add_argument("--replay-check", action="store_true",
+                        help="run each experiment twice and compare the results")
+    add_jobs_argument(parser)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    options = build_parser().parse_intermixed_args(argv)
+    requested = options.ids or list(EXPERIMENTS)
     unknown = [experiment_id for experiment_id in requested if experiment_id not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}")
         return 2
-    if check_mode:
-        return replay_check(requested, jobs=jobs)
-    run(requested, jobs=jobs)
+    if options.replay_check:
+        return replay_check(requested, jobs=options.jobs)
+    run(requested, jobs=options.jobs)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

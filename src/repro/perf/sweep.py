@@ -32,7 +32,6 @@ from repro.chaos.cli import campaign_tasks
 from repro.chaos.runner import ChaosRun
 from repro.chaos.schedule import ChaosSchedule, FaultEntry
 from repro.core.config import REPLICATION_STRATEGIES, OfttConfig, replace_config
-from repro.core.roles import Role
 from repro.faults.injector import FaultInjector
 from repro.harness.scenario import ChaosScenario
 from repro.perf.executor import parallel_map
@@ -207,14 +206,7 @@ def evaluate_strategy_task(task: StrategyTask) -> Dict[str, Any]:
 
     fault_at = max(entry.at for entry in entries)
     pair = scenario.pair
-    primary = next(
-        (
-            name
-            for name in pair.node_names
-            if pair.engines[name].alive and pair.engines[name].role is Role.PRIMARY
-        ),
-        None,
-    )
+    primary = next(iter(pair.primaries()), None)
     recovered_by = "none"
     applied = 0
     replayed = 0
@@ -329,7 +321,6 @@ def _policy_config(name: str) -> OfttConfig:
 def evaluate_policy_task(task: PolicyTask) -> Dict[str, Any]:
     """Executor entry point: one drift profile under one policy."""
     from repro.chaos.schedule import DRIFT_DESTRUCTIVE_KINDS, drift_schedule
-    from repro.errors import OfttError
 
     policy, profile, seed = task
     scenario = ChaosScenario(seed=seed, config=_policy_config(policy))
@@ -341,16 +332,10 @@ def evaluate_policy_task(task: PolicyTask) -> Dict[str, Any]:
 
     unstable = {"ms": 0.0}
 
-    def stable_now() -> bool:
-        try:
-            return scenario.pair.is_stable()
-        except OfttError:  # dual primary
-            return False
-
     def sample() -> None:
         if scenario.kernel.now >= schedule.horizon:
             return
-        if not stable_now():
+        if not scenario.pair.is_stable():
             unstable["ms"] += POLICY_SAMPLE_PERIOD
         scenario.kernel.schedule(POLICY_SAMPLE_PERIOD, sample)
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
 
 from repro.apps.synthetic import SyntheticStateApp
+from repro.chaos.cli import campaign_tasks
 from repro.chaos.runner import ChaosRun
-from repro.chaos.schedule import ScheduleGenerator
 from repro.faults.campaign import Campaign
-from repro.faults.faultlib import AppCrash, BlueScreen, MiddlewareCrash, NodeFailure, NodeReboot
-from repro.faults.injector import FaultInjector
+from repro.faults.faultlib import AppCrash, BlueScreen, MiddlewareCrash, NodeFailure
 from repro.harness.scenario import (
     ChaosScenario,
     build_demo,
@@ -31,7 +30,6 @@ from repro.harness.scenario import (
     build_pair_env,
     build_remote_monitoring,
 )
-from repro.simnet.random import RngStreams
 from repro.replay.runner import (
     ReplayResult,
     RoundTripResult,
@@ -99,14 +97,9 @@ def _demo_campaign_trace(seed: int):
     ):
         primary = scenario.pair.primary_node()
         campaign.run_fault(make_fault(primary))
-        # Repair between demos, as exp_failover_demos does: reboot a
-        # downed machine (or reinstall a crashed middleware) so the next
+        # Repair between demos, as exp_failover_demos does, so the next
         # demo starts from a healthy pair.
-        failed_system = scenario.systems[primary]
-        if failed_system.state.value in ("off", "bluescreen"):
-            FaultInjector(scenario.kernel, scenario).inject_now(NodeReboot(primary, reinstall=True))
-        elif not scenario.pair.engines[primary].alive:
-            scenario.pair.reinstall_node(primary)
+        campaign.repair(primary)
         scenario.run_for(5_000.0)
     return scenario.trace, campaign.replay_signature()
 
@@ -118,13 +111,8 @@ def _chaos_trace(seed: int):
     full event stream *and* the report payload (violations, stats) —
     the byte-identity the ``repro.chaos/v1`` JSON contract promises.
     """
-    generator = ScheduleGenerator(
-        nodes=list(ChaosScenario.PAIR_NODES),
-        links=["lan0"],
-        process=ChaosScenario.APP_NAME,
-        rng=RngStreams(seed).stream("chaos.schedule"),
-    )
-    run = ChaosRun(seed=seed, schedule=generator.generate())
+    _, schedule, _ = campaign_tasks(1, 1, seed)[0]
+    run = ChaosRun(seed=seed, schedule=schedule)
     result = run.execute()
     return run.scenario.trace, result.as_wire()
 

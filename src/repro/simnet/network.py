@@ -301,6 +301,10 @@ class Network:
             return False
         return self.usable_path(source, dest) is not None
 
+    def connected(self, a: str, b: str) -> bool:
+        """Whether *a* and *b* can reach each other in both directions."""
+        return self.path_ok(a, b) and self.path_ok(b, a)
+
     # -- delivery -------------------------------------------------------------
 
     def usable_path(self, source: str, dest: str) -> Optional[Link]:

@@ -48,6 +48,13 @@ class FakePair:
     def __init__(self, engines):
         self.engines = engines
 
+    def primaries(self):
+        return [
+            name
+            for name in self.node_names
+            if self.engines[name].alive and self.engines[name].role is Role.PRIMARY
+        ]
+
     def running_app_nodes(self):
         return [
             name
@@ -57,17 +64,17 @@ class FakePair:
 
 
 class FakeNetwork:
-    def __init__(self, connected=True):
-        self.connected = connected
+    def __init__(self, up=True):
+        self.up = up
 
-    def path_ok(self, source, dest):
-        return self.connected
+    def connected(self, a, b):
+        return self.up
 
 
 class FakeScenario:
     def __init__(self, engines, connected=True):
         self.pair = FakePair(engines)
-        self.network = FakeNetwork(connected)
+        self.network = FakeNetwork(up=connected)
 
 
 def dual_primary_scenario(connected=True):
@@ -182,9 +189,9 @@ def test_heartbeat_liveness_resets_on_disconnect():
         {"alpha": FakeEngine(suspected=True), "beta": FakeEngine(role=Role.BACKUP)}
     )
     monitor.on_tick(scenario, 0.0)
-    scenario.network.connected = False
+    scenario.network.up = False
     monitor.on_tick(scenario, 5_000.0)  # window must restart after this
-    scenario.network.connected = True
+    scenario.network.up = True
     monitor.on_tick(scenario, 5_100.0)
     monitor.on_tick(scenario, 5_900.0)
     assert monitor.violations == []

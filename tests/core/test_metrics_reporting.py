@@ -134,6 +134,16 @@ def test_run_experiments_rejects_unknown_ids(capsys):
     assert "unknown experiment ids" in capsys.readouterr().out
 
 
+def test_run_experiments_rejects_empty_jobs_value(capsys):
+    from repro.harness.run_experiments import main
+
+    # An empty ``--jobs=`` must not swallow the next token as its value.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--jobs=", "2", "X5"])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_run_experiments_single_id(capsys):
     from repro.harness.run_experiments import main
 

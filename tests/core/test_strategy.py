@@ -63,16 +63,14 @@ def test_engines_get_strategy_from_config():
     assert isinstance(lf_world.pair.engines["alpha"].strategy, LeaderFollowerStrategy)
 
 
-def _message_driven_scenario(strategy, **kwargs):
-    scenario = ChaosScenario(
+def _message_driven_scenario(strategy):
+    return ChaosScenario(
         seed=0,
-        strategy=strategy,
+        config=replace_config(OfttConfig(), replication_strategy=strategy),
         workload_period=100.0,
         checkpoint_period=2_000.0,
         message_driven=True,
-        **kwargs,
     )
-    return scenario
 
 
 # -- leader-follower ---------------------------------------------------------------

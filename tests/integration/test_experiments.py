@@ -1,7 +1,8 @@
 """Integration smoke tests for every X-series experiment runner.
 
 These assert the *shape* of each result — who wins, in which direction —
-with small parameters; the benchmarks run the full versions.
+with other seeds and small parameters; test_published_claims.py checks
+the published versions from the run_experiments registry.
 """
 
 from repro.harness import experiments as E
