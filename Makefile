@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate bench bench-diff verify
+.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate verify
 
 test:
 	$(PY) -m pytest -x -q
@@ -85,20 +85,4 @@ policy-matrix:
 perf-gate:
 	$(PY) -m repro.perf check-chaos --seeds 2 --schedules 2 --jobs 2
 
-# Quick-profile benchmark; saves the next numbered BENCH_<n>.json here.
-# `make bench ONLY=kernel-events` runs a single bench (unsaved) for
-# hot-path iteration.
-bench:
-ifdef ONLY
-	$(PY) -m repro.bench --profile quick --jobs 2 --only $(ONLY)
-else
-	$(PY) -m repro.bench --profile quick --jobs 2 --save
-endif
-
-# Compare the two newest saved reports: work halves must be
-# byte-identical, measured halves within the noise threshold.  A single
-# baseline (fresh clone) is a clean no-op.
-bench-diff:
-	$(PY) -m repro.bench diff --latest
-
-verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate bench-diff
+verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate

@@ -2,9 +2,10 @@
 
 The sim kernel drain loop, the trace emit/fingerprint path, and the
 network delivery path run once *per simulated event* — 200k+ times in a
-single bench run.  Waste that is invisible in cold code (a fresh constant
-list, an eager f-string, a linear scan over a structure that grows with
-event count) multiplies into the top line of ``oftt-bench``.  This pass
+single benchmark run.  Waste that is invisible in cold code (a fresh
+constant list, an eager f-string, a linear scan over a structure that
+grows with event count) multiplies into perfbench's top line,
+``sim_s_per_s``.  This pass
 makes hotness a checked property instead of tribal knowledge:
 
 * Hot **roots** are declared in a checked-in manifest

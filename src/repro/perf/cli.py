@@ -6,7 +6,8 @@ Two subcommands:
   ``make verify``: run one small chaos campaign serially and again at
   ``--jobs N`` and require the rendered ``repro.chaos/v1`` JSON (and the
   text report) to be byte-identical.  Exit 0 on equality, 1 on any
-  difference, 2 on usage error.
+  difference, 2 on usage error (including a ``--jobs`` that resolves to
+  fewer than 2 workers, which would compare the serial run with itself).
 * ``sweep`` — the detector-sensitivity sweep
   (``heartbeat_miss_threshold`` x ``heartbeat_timeout`` over a fixed set
   of chaos schedules); prints the table EXPERIMENTS.md publishes.
@@ -26,7 +27,8 @@ from typing import Optional, Sequence
 
 # oftt-lint: file-ok[ambient-io] -- the perf driver is a host-side CLI.
 from repro.chaos.report import render_json, render_text
-from repro.perf.executor import add_jobs_argument
+from repro.chaos.schedule import DRIFT_PROFILES
+from repro.perf.executor import add_jobs_argument, resolve_jobs
 from repro.perf.sweep import (
     DEFAULT_THRESHOLDS,
     DEFAULT_TIMEOUTS,
@@ -113,14 +115,35 @@ def _parse_values(raw: str, cast) -> Optional[list]:
     return [cast(token.strip()) for token in raw.split(",") if token.strip()]
 
 
+def _usage_error(options: argparse.Namespace) -> str:
+    """Why *options* cannot run, or would make a gate check nothing ("" if fine)."""
+    if options.seeds < 1 or options.schedules < 1:
+        return "--seeds and --schedules must be positive"
+    if options.command == "check-chaos":
+        workers = resolve_jobs(options.jobs)
+        if workers < 2:
+            return (f"check-chaos compares the serial run with a parallel one; "
+                    f"--jobs {options.jobs} resolves to {workers} worker(s), need at least 2")
+        return ""
+    if options.gate and not options.policies:
+        return "--gate checks the policy sweep; it needs --policies"
+    if options.policies:
+        unknown = sorted(set(_parse_values(options.profiles, str) or ()) - set(DRIFT_PROFILES))
+        if unknown:
+            return (f"unknown drift profile(s) {', '.join(unknown)}; "
+                    f"available: {', '.join(sorted(DRIFT_PROFILES))}")
+    return ""
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
+    usage_error = _usage_error(options)
+    if usage_error:
+        print(f"oftt-perf: {usage_error}", file=sys.stderr)
+        return 2
 
     if options.command == "check-chaos":
-        if options.seeds < 1 or options.schedules < 1:
-            print("oftt-perf: --seeds and --schedules must be positive", file=sys.stderr)
-            return 2
         return check_chaos(options.seeds, options.schedules, options.seed_base, options.jobs)
 
     gate_failures = []

@@ -19,8 +19,8 @@ cannot change its result.  The executor adds the remaining guarantees:
 
 The worker pool is **persistent**: the first parallel call spawns it,
 and every later call with the same worker count reuses it, so a command
-that fans out many times (campaign then replay check, a sweep grid, the
-bench suite) pays the spawn cost once instead of per call.  Reuse is
+that fans out many times (campaign then replay check, a sweep grid)
+pays the spawn cost once instead of per call.  Reuse is
 sound *because* of the purity contract above — the oftt-lint PURE001–004
 pass rejects tasks that write module state, so a worker that already ran
 ten tasks is indistinguishable from a fresh one.  (A task that mutated
@@ -36,6 +36,7 @@ clean.
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -94,8 +95,8 @@ def shutdown_pool() -> None:
     """Tear down the persistent pool (idempotent; next call respawns).
 
     Registered via :mod:`atexit` so interpreter shutdown never leaves
-    spawn workers behind; tests and benchmarks may also call it directly
-    to measure or isolate cold-start behaviour.
+    spawn workers behind; tests may also call it directly to isolate
+    cold-start behaviour.
     """
     global _pool, _pool_workers
     if _pool is not None:
@@ -105,26 +106,6 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-def warm_pool(jobs: Optional[int]) -> int:
-    """Pre-spawn the pool for *jobs* workers; returns the worker count.
-
-    Spawning interpreters is the executor's only non-amortized cost, so
-    latency-sensitive callers (and honest benchmarks, which must not
-    blame steady-state throughput for one-time startup) can front-load
-    it.  A no-op for the serial path.
-    """
-    workers = resolve_jobs(jobs)
-    if workers > 1:
-        pool = _get_pool(workers)
-        list(pool.map(_noop_task, range(workers)))
-    return workers
-
-
-def _noop_task(_: int) -> None:
-    """Minimal picklable task used to force worker startup."""
-    return None
 
 
 def parallel_map(
@@ -161,10 +142,21 @@ def parallel_map(
         raise
 
 
+def _jobs_value(raw: str) -> int:
+    """argparse type for ``--jobs``: a negative count is a usage error (exit 2)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = one per CPU), got {value}")
+    return value
+
+
 def add_jobs_argument(parser: Any, default: int = 1) -> None:
     """Attach the standard ``--jobs`` option to an argparse parser."""
     parser.add_argument(
-        "--jobs", type=int, default=default, metavar="N",
+        "--jobs", type=_jobs_value, default=default, metavar="N",
         help="worker processes for independent runs; 0 = one per CPU "
              f"(default: {default}; output is byte-identical for any value)",
     )

@@ -5,10 +5,10 @@ keyed by component).  Tests and benchmarks query the trace to assert on
 *sequences* of behaviour (e.g. "backup promoted exactly once, after the
 heartbeat timeout elapsed") rather than only on final state.
 
-Hot-path notes (this module is on the ``trace-emits`` bench path and a hot
-root in ``repro/analysis/hotpath.manifest``): :class:`TraceRecord` is a
-hand-written ``__slots__`` class because ~200k instances are allocated
-per full bench run; per-record fingerprints build their canonical JSON payload
+Hot-path notes (every perfbench workload emits through this module, and
+it is a hot root in ``repro/analysis/hotpath.manifest``): :class:`TraceRecord`
+is a hand-written ``__slots__`` class because ~200k instances are allocated
+per full benchmark run; per-record fingerprints build their canonical JSON payload
 directly (skipping the intermediate wire dict) via module-bound
 serializer entry points; and :meth:`TraceLog.fingerprint` folds only
 records emitted since the previous call into a running digest, so the

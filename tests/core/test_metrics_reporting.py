@@ -9,7 +9,6 @@ from repro.metrics import (
     AvailabilitySampler,
     FailoverTiming,
     failover_timing,
-    histogram_distance,
     summarize,
 )
 from repro.simnet.kernel import SimKernel
@@ -38,17 +37,6 @@ def test_summarize_p95_near_tail():
     values = list(range(100))
     stats = summarize([float(v) for v in values])
     assert 90 <= stats["p95"] <= 99
-
-
-# -- histogram distance ------------------------------------------------------------
-
-
-def test_histogram_distance_zero_for_equal():
-    assert histogram_distance({0: 3, 1: 5}, {1: 5, 0: 3}) == 0
-
-
-def test_histogram_distance_counts_differences():
-    assert histogram_distance({0: 3, 1: 5}, {0: 1, 2: 4}) == 2 + 5 + 4
 
 
 # -- failover timing -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.perf import executor
-from repro.perf.executor import parallel_map, shutdown_pool, warm_pool
+from repro.perf.executor import parallel_map, shutdown_pool
 
 
 def square(value: int) -> int:
@@ -67,16 +67,6 @@ def test_single_task_bypasses_the_pool():
 def test_empty_input_stays_trivial():
     assert parallel_map(square, [], jobs=4) == []
     assert executor._pool is None
-
-
-def test_warm_pool_prespawns_and_reports_workers():
-    assert warm_pool(1) == 1
-    assert executor._pool is None  # serial warm is a no-op
-    assert warm_pool(2) == 2
-    warmed = executor._pool
-    assert warmed is not None
-    parallel_map(square, [1, 2, 3, 4], jobs=2)
-    assert executor._pool is warmed  # the warmed pool carried the work
 
 
 def test_chunked_dispatch_preserves_order():

@@ -122,6 +122,25 @@ def test_randomized_ops_match_reference_heap(seed, compact_min):
     assert kernel.pending == reference.pending == 0
 
 
+def test_bulk_schedule_with_every_third_cancelled_drains():
+    """Thousands of callbacks over colliding times, a third cancelled
+    (too few to compact at the default threshold): the lazy-cancel skip
+    must fire exactly the live two thirds and leave nothing pending."""
+    kernel = SimKernel()
+    fired = [0]
+
+    def tick() -> None:
+        fired[0] += 1
+
+    n = 6_000
+    calls = [kernel.schedule(float(i % 997), tick) for i in range(n)]
+    for call in calls[::3]:
+        kernel.cancel(call)
+    kernel.run()
+    assert fired[0] == n - len(calls[::3])
+    assert kernel.pending == 0
+
+
 def _drain_labels(kernel: SimKernel) -> List[int]:
     """Run *kernel* to empty, collecting labels from _record calls."""
     del _SINK[:]
