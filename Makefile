@@ -1,11 +1,12 @@
-# Developer entry points.  `make verify` is the CI gate: tier-1 tests,
-# the static-analysis toolkit (see ANALYSIS.md), the dynamic
-# replay-divergence gate (see REPLAY.md), the chaos smoke campaign
-# (see CHAOS.md), and the parallel-equivalence gate (see PERF.md).
+# Developer entry points.  `make verify` is the CI gate: tier-1 tests
+# (which include every published experiment claim and the
+# parallel-equivalence checks, see PERF.md), the static-analysis toolkit
+# (see ANALYSIS.md), the dynamic replay-divergence gate (see REPLAY.md),
+# and the chaos campaigns (see CHAOS.md).
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix perf-gate verify
+.PHONY: test test-par lint lint-tests lint-json replay replay-json chaos chaos-selftest strategy-matrix policy-matrix verify
 
 test:
 	$(PY) -m pytest -x -q
@@ -71,18 +72,11 @@ strategy-matrix: chaos
 	$(PY) -m repro.chaos --smoke --strategy leader-follower
 	$(PY) -m repro.chaos --smoke --strategy log-replay-dr
 
-# The adaptive-policy gate: (1) the mixed drifting fault-mix runs
-# violation-free under the adaptive policy (runtime strategy switches
-# included, flapping/thrash monitors live), and (2) the smoke-sized
-# policy sweep shows adaptive beating every static policy on mean
-# recovery latency at an equal-or-lower spurious-failover count.
+# The mixed drifting fault-mix runs violation-free under the adaptive
+# policy (runtime strategy switches included, flapping/thrash monitors
+# live).  That adaptive beats every static policy on the mixed profile
+# is a published claim (run_experiments S3), checked by `make test`.
 policy-matrix:
 	$(PY) -m repro.chaos --drift mixed --policy --seeds 3 --jobs 2
-	$(PY) -m repro.perf sweep --policies --profiles mixed --seeds 2 --jobs 2 --gate
 
-# The executor contract (see PERF.md): a campaign run at --jobs 2 must
-# render byte-identically to the serial run.
-perf-gate:
-	$(PY) -m repro.perf check-chaos --seeds 2 --schedules 2 --jobs 2
-
-verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest perf-gate
+verify: test test-par lint lint-tests replay strategy-matrix policy-matrix chaos-selftest

@@ -32,8 +32,8 @@ propagated bottom-up with k-bounded inlining
     spawned workers mutate pickled copies, so results diverge with the
     worker count.
 
-PURE rules are errors: each one breaks the hard byte-identity gate
-``make perf-gate`` enforces.
+PURE rules are errors: each one breaks the hard byte-identity contract
+``tests/perf/test_parallel_determinism.py`` enforces.
 """
 
 from __future__ import annotations

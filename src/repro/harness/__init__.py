@@ -5,6 +5,8 @@
   (Figure 3 / Table 1) on the simulated substrates.
 * :mod:`~repro.harness.experiments` — runs each experiment of the
   DESIGN.md index and returns structured results.
+* :mod:`~repro.harness.sweeps` — the deployer-tuning sweeps S1-S3
+  (detector sensitivity, replication strategies, recovery policies).
 * :mod:`~repro.harness.reporting` — renders result tables/series the way
   EXPERIMENTS.md records them.
 """

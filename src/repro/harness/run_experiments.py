@@ -25,11 +25,13 @@ byte-identical for any worker count::
 from __future__ import annotations
 
 import argparse
+import sys
 
 # oftt-lint: file-ok[ambient-io] -- the experiment runner is the host-side CLI.
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import experiments as E
+from repro.harness import sweeps
 from repro.harness.reporting import format_dict, format_table
 from repro.perf.executor import add_jobs_argument, parallel_map
 from repro.simnet.trace import canonical_value
@@ -51,6 +53,9 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable[[], Any]]] = {
     "A2": ("A2: false takeovers vs heartbeat timeout on lossy links", lambda: E.exp_ablation_heartbeat_loss(seed=53)),
     "A3": ("A3: checkpoint period vs traffic vs staleness bound", lambda: E.exp_ablation_checkpoint_period(seed=55)),
     "BL": ("BL: monitoring blackout across a station power-off (F1a)", lambda: E.exp_scada_blackout(seed=9)),
+    "S1": ("S1: detector sensitivity, miss threshold x heartbeat timeout", lambda: sweeps.sweep_detectors(seeds=4, schedules=3)),
+    "S2": ("S2: replication strategies under primary crash and total pair loss", lambda: sweeps.sweep_strategies(seeds=3)),
+    "S3": ("S3: adaptive vs static recovery policy over drifting fault mixes", lambda: sweeps.sweep_policies(seeds=3)),
 }
 
 
@@ -129,7 +134,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     requested = options.ids or list(EXPERIMENTS)
     unknown = [experiment_id for experiment_id in requested if experiment_id not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}")
+        print(f"run_experiments: unknown experiment ids: {unknown}; available: {sorted(EXPERIMENTS)}",
+              file=sys.stderr)
         return 2
     if options.replay_check:
         return replay_check(requested, jobs=options.jobs)

@@ -1,10 +1,9 @@
 """Process-pool fan-out that is byte-identical to the serial run.
 
 Every workload this executor carries (chaos schedules, replay subjects,
-experiment scenarios, sweep grid points) is a *pure function of its
-picklable arguments*: a task rebuilds its whole world (kernel, network,
-RNG streams) from the seed it is handed, so where and when it executes
-cannot change its result.  The executor adds the remaining guarantees:
+experiments) is a *pure function of its picklable arguments*: a task
+rebuilds its whole world (kernel, network, RNG streams) from the seed
+it is handed, so where and when it executes cannot change its result.  The executor adds the remaining guarantees:
 
 * **Canonical merge order** — results come back in input order
   (:func:`parallel_map` is order-preserving), so reports rendered from
@@ -19,7 +18,7 @@ cannot change its result.  The executor adds the remaining guarantees:
 
 The worker pool is **persistent**: the first parallel call spawns it,
 and every later call with the same worker count reuses it, so a command
-that fans out many times (campaign then replay check, a sweep grid)
+that fans out many times (campaign then replay check)
 pays the spawn cost once instead of per call.  Reuse is
 sound *because* of the purity contract above — the oftt-lint PURE001–004
 pass rejects tasks that write module state, so a worker that already ran

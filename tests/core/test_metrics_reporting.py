@@ -119,7 +119,7 @@ def test_run_experiments_rejects_unknown_ids(capsys):
     from repro.harness.run_experiments import main
 
     assert main(["NOPE"]) == 2
-    assert "unknown experiment ids" in capsys.readouterr().out
+    assert "unknown experiment ids" in capsys.readouterr().err
 
 
 def test_run_experiments_rejects_empty_jobs_value(capsys):

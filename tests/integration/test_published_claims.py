@@ -8,7 +8,9 @@ supports.  A registry entry without claims here fails the suite.
 
 import pytest
 
+from repro.core.config import OfttConfig
 from repro.harness.run_experiments import EXPERIMENTS, run_experiment_task
+from repro.harness.sweeps import DEFAULT_THRESHOLDS, DEFAULT_TIMEOUTS, POLICY_NAMES
 
 
 def claims_f1(rows):
@@ -136,6 +138,106 @@ def claims_bl(result):
     assert result["blackout_ms"] > result["median_progress_gap_ms"]
 
 
+def claims_s1(rows):
+    """Desensitising the detector costs latency and buys fewer false positives, never safety."""
+    assert [(row["miss_threshold"], row["timeout_ms"]) for row in rows] == [
+        (threshold, timeout) for threshold in DEFAULT_THRESHOLDS for timeout in DEFAULT_TIMEOUTS
+    ]
+    for row in rows:
+        assert (row["runs"], row["faults"], row["violations"]) == (12, 14, 0)
+        assert row["detected"] + row["missed"] == row["faults"]
+        assert row["mean_latency_ms"] <= row["max_latency_ms"]
+    grid = {(row["miss_threshold"], row["timeout_ms"]): row for row in rows}
+    for threshold in DEFAULT_THRESHOLDS:
+        means = [grid[threshold, timeout]["mean_latency_ms"] for timeout in DEFAULT_TIMEOUTS]
+        assert means == sorted(set(means))
+        positives = [grid[threshold, timeout]["false_positives"] for timeout in DEFAULT_TIMEOUTS]
+        assert positives == sorted(positives, reverse=True)
+    for timeout in DEFAULT_TIMEOUTS:
+        means = [grid[threshold, timeout]["mean_latency_ms"] for threshold in DEFAULT_THRESHOLDS]
+        # Each extra consecutive miss costs one heartbeat period.
+        for faster, slower in zip(means, means[1:]):
+            assert slower - faster == pytest.approx(OfttConfig().heartbeat_period)
+        positives = [grid[threshold, timeout]["false_positives"] for threshold in DEFAULT_THRESHOLDS]
+        assert positives == sorted(positives, reverse=True)
+    twitchiest = grid[DEFAULT_THRESHOLDS[0], DEFAULT_TIMEOUTS[0]]
+    calmest = grid[DEFAULT_THRESHOLDS[-1], DEFAULT_TIMEOUTS[-1]]
+    assert calmest["false_positives"] < twitchiest["false_positives"]
+    # The attribution artifact: the longest timeout attributes one more detection.
+    assert calmest["detected"] > twitchiest["detected"]
+
+
+def claims_s2(rows):
+    """Leader-follower narrows the checkpoint gap; only log-replay DR survives losing the pair."""
+    cells = {(row["strategy"], row["scenario"]): row for row in rows}
+    crash = {strategy: row for (strategy, scenario), row in cells.items() if scenario == "primary-crash"}
+    loss = {strategy: row for (strategy, scenario), row in cells.items() if scenario == "total-pair-loss"}
+    assert all(row["recovered_by"] == "pair" for row in crash.values())
+    assert len({row["mean_recovery_ms"] for row in crash.values()}) == 1
+    cold, follower, dr = crash["cold-passive"], crash["leader-follower"], crash["log-replay-dr"]
+    # Cold-passive loses at most the 2 s checkpoint gap of 100 ms messages per run.
+    assert 0 < cold["lost"] <= cold["runs"] * 2_000 // 100
+    assert follower["lost"] * 10 < cold["lost"]
+    assert follower["lost"] <= 2 * follower["runs"]
+    # Within the pair the DR mirror does not narrow the gap.
+    assert dr["lost"] * 10 >= cold["lost"] * 9
+    survivor = loss.pop("log-replay-dr")
+    assert survivor["recovered_by"] == "dr"
+    assert survivor["lost"] == 0 and survivor["applied"] == survivor["sent"]
+    assert survivor["replayed"] > 0
+    silence = OfttConfig().dr_activation_timeout
+    assert silence < survivor["mean_recovery_ms"] < silence + 1_000.0
+    for row in loss.values():
+        assert row["recovered_by"] == "none"
+        assert row["lost"] == row["sent"] and row["applied"] == 0
+
+
+def assert_adaptive_dominates(rows, profile):
+    """On *profile*, adaptive recovers faster than every static rule at no more spurious failovers."""
+    by_policy = {row["policy"]: row for row in rows if row["profile"] == profile}
+    assert "adaptive" in by_policy, f"no adaptive row for profile {profile!r}"
+    adaptive = by_policy.pop("adaptive")
+    assert by_policy, f"no static row for profile {profile!r}"
+    for policy, row in by_policy.items():
+        assert adaptive["mean_recovery_ms"] < row["mean_recovery_ms"], f"{profile}: adaptive not below {policy}"
+        assert adaptive["spurious_failovers"] <= row["spurious_failovers"], f"{profile}: adaptive spurious above {policy}"
+
+
+def claims_s3(rows):
+    """No static rule wins everywhere; the adaptive policy dominates the mixed drift."""
+    profiles = sorted({row["profile"] for row in rows})
+    assert [(row["profile"], row["policy"]) for row in rows] == [
+        (profile, policy) for profile in profiles for policy in POLICY_NAMES
+    ]
+    assert all(row["runs"] == 3 for row in rows)
+    mean = {(row["profile"], row["policy"]): row["mean_recovery_ms"] for row in rows}
+    spurious = {(row["profile"], row["policy"]): row["spurious_failovers"] for row in rows}
+    statics = [policy for policy in POLICY_NAMES if policy != "adaptive"]
+
+    for policy in statics:
+        assert any(
+            min(mean[profile, other] for other in POLICY_NAMES) < mean[profile, policy]
+            for profile in profiles
+        )
+    for profile in ("crashy", "sticky"):
+        assert mean[profile, "static-always-failover"] == min(mean[profile, p] for p in POLICY_NAMES)
+    assert mean["gray", "static-safe"] == 0.0 and spurious["gray", "static-safe"] == 0
+    assert mean["sticky", "static-local-only"] >= 8 * mean["sticky", "static-default"]
+
+    for profile in profiles:
+        assert spurious[profile, "adaptive"] == 0
+    assert mean["gray", "adaptive"] == 0.0
+    for profile in ("crashy", "partition", "sticky"):
+        assert mean[profile, "adaptive"] == mean[profile, "static-default"]
+    assert_adaptive_dominates(rows, "mixed")
+    adaptive = mean["mixed", "adaptive"]
+    assert round(100 * (1 - adaptive / min(mean["mixed", p] for p in statics))) >= 19
+    assert round(100 * (1 - adaptive / mean["mixed", "static-default"])) >= 30
+
+    switched = {row["policy"] for row in rows if row["strategy_switches"] > 0}
+    assert switched == {"adaptive"}
+
+
 CLAIMS = {
     "F1": claims_f1,
     "F2": claims_f2,
@@ -152,6 +254,9 @@ CLAIMS = {
     "A2": claims_a2,
     "A3": claims_a3,
     "BL": claims_bl,
+    "S1": claims_s1,
+    "S2": claims_s2,
+    "S3": claims_s3,
 }
 
 

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.sweeps import DETECTOR_GRID
 from repro.perf.executor import parallel_map, resolve_jobs
-from repro.perf.grid import grid_points
 
 
 def double(value: int) -> int:
     """Module-level so spawn workers can import it by reference."""
     return value * 2
+
+
+def grid_key(point: dict) -> tuple:
+    return point["heartbeat_miss_threshold"], point["heartbeat_timeout"]
 
 
 def explode(value: int) -> int:
@@ -54,17 +58,12 @@ def test_resolve_jobs():
 
 
 def test_grid_points_canonical_order():
-    points = grid_points({"b": [2, 1], "a": ["y", "x"]})
-    # Axis names sort ("a" before "b"); first sorted axis varies slowest,
-    # and values keep their given order within an axis.
-    assert points == [
-        {"a": "y", "b": 2},
-        {"a": "y", "b": 1},
-        {"a": "x", "b": 2},
-        {"a": "x", "b": 1},
+    # S1's grid: the miss threshold varies slowest, each axis keeps its
+    # listed order, and the executor hands the points back in that order.
+    expected = [
+        (1, 300.0), (1, 500.0), (1, 1_000.0),
+        (2, 300.0), (2, 500.0), (2, 1_000.0),
+        (3, 300.0), (3, 500.0), (3, 1_000.0),
     ]
-
-
-def test_grid_points_rejects_empty_axis():
-    with pytest.raises(ValueError):
-        grid_points({"a": []})
+    assert [grid_key(point) for point in DETECTOR_GRID] == expected
+    assert parallel_map(grid_key, DETECTOR_GRID, jobs=2) == expected

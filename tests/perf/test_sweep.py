@@ -1,23 +1,41 @@
-"""Smoke and shape tests for the detector and strategy sweeps."""
+"""Shape, contrast and per-task determinism of the deployer-tuning sweeps.
+
+These run the S1-S3 sweeps of ``run_experiments`` at one seed; the claims
+on the published rows are checked in
+tests/integration/test_published_claims.py.
+"""
 
 from __future__ import annotations
 
-from repro.perf.sweep import (
+import pytest
+
+from repro.harness.sweeps import (
+    DETECTOR_GRID,
+    evaluate_policy_task,
     evaluate_strategy_task,
-    render_rows,
+    POLICY_NAMES,
     STRATEGY_SCENARIOS,
     sweep_detectors,
+    sweep_policies,
 )
+from tests.integration.test_published_claims import assert_adaptive_dominates
 
 
-def small_sweep():
-    return sweep_detectors(thresholds=[1, 2], timeouts=[500.0], seeds=1, schedules=2)
+@pytest.fixture(scope="module")
+def detector_rows():
+    return sweep_detectors(seeds=1, schedules=2)
 
 
-def test_rows_follow_grid_order_and_shape():
-    rows = small_sweep()
-    assert [(row["miss_threshold"], row["timeout_ms"]) for row in rows] == [(1, 500.0), (2, 500.0)]
-    for row in rows:
+@pytest.fixture(scope="module")
+def policy_rows():
+    return sweep_policies(seeds=1)
+
+
+def test_rows_follow_grid_order_and_shape(detector_rows):
+    assert [(row["miss_threshold"], row["timeout_ms"]) for row in detector_rows] == [
+        (point["heartbeat_miss_threshold"], point["heartbeat_timeout"]) for point in DETECTOR_GRID
+    ]
+    for row in detector_rows:
         assert row["runs"] == 2
         assert row["detected"] + row["missed"] == row["faults"]
         assert row["false_positives"] >= 0
@@ -27,11 +45,14 @@ def test_rows_follow_grid_order_and_shape():
             assert row["mean_latency_ms"] is None
 
 
-def test_higher_threshold_never_detects_faster():
-    rows = small_sweep()
-    fast, slow = rows[0], rows[1]
-    if fast["detected"] and slow["detected"]:
-        assert slow["mean_latency_ms"] >= fast["mean_latency_ms"]
+def test_higher_threshold_never_detects_faster(detector_rows):
+    by_timeout = {}
+    for row in detector_rows:
+        by_timeout.setdefault(row["timeout_ms"], []).append(row)
+    for rows in by_timeout.values():
+        assert [row["miss_threshold"] for row in rows] == sorted(row["miss_threshold"] for row in rows)
+        means = [row["mean_latency_ms"] for row in rows if row["detected"]]
+        assert means and means == sorted(means)
 
 
 def test_strategy_sweep_total_pair_loss_contrast():
@@ -63,49 +84,35 @@ def test_strategy_sweep_leader_follower_narrows_checkpoint_gap():
     assert cold["lost"] > lf["lost"]
 
 
-def test_render_rows_text_and_markdown():
-    rows = small_sweep()
-    text = render_rows(rows)
-    assert text.splitlines()[0].startswith("miss_threshold")
-    markdown = render_rows(rows, markdown=True)
-    lines = markdown.splitlines()
-    assert lines[0].startswith("| miss_threshold")
-    assert set(lines[1]) <= {"|", "-"}
-    assert len(lines) == 2 + len(rows)
-
-
 # -- policy sweep -----------------------------------------------------------
 
 
-def test_policy_sweep_rows_shape_and_order():
-    from repro.perf.sweep import POLICY_NAMES, sweep_policies
-
-    rows = sweep_policies(profiles=["crashy"], seeds=1)
-    assert [row["policy"] for row in rows] == POLICY_NAMES
-    for row in rows:
-        assert row["profile"] == "crashy"
+def test_policy_sweep_rows_shape_and_order(policy_rows):
+    profiles = sorted({row["profile"] for row in policy_rows})
+    assert [(row["profile"], row["policy"]) for row in policy_rows] == [
+        (profile, policy) for profile in profiles for policy in POLICY_NAMES
+    ]
+    for row in policy_rows:
+        assert row["runs"] == 1
         assert row["faults"] > 0
         assert row["mean_recovery_ms"] is not None
         assert row["spurious_failovers"] >= 0
 
 
-def test_policy_sweep_only_adaptive_switches_strategies():
-    from repro.perf.sweep import sweep_policies
-
+def test_policy_sweep_only_adaptive_switches_strategies(policy_rows):
     # Gray is the switch-provoking profile: peer-gap evidence is seen by
     # both engines, so the serving primary reaches a hot-standby regime.
-    rows = sweep_policies(profiles=["gray"], seeds=1)
-    by_policy = {row["policy"]: row for row in rows}
+    by_policy = {row["policy"]: row for row in policy_rows if row["profile"] == "gray"}
     assert by_policy["adaptive"]["strategy_switches"] > 0
     assert all(
         row["strategy_switches"] == 0
-        for name, row in by_policy.items()
-        if name != "adaptive"
+        for row in policy_rows
+        if row["policy"] != "adaptive"
     )
 
 
-def test_policy_gate_passes_on_dominant_adaptive_and_fails_otherwise():
-    from repro.perf.sweep import policy_gate
+def test_policy_gate_passes_on_dominant_adaptive_and_fails_otherwise(policy_rows):
+    assert_adaptive_dominates(policy_rows, "mixed")
 
     def row(policy, mean, spurious):
         return {
@@ -115,18 +122,18 @@ def test_policy_gate_passes_on_dominant_adaptive_and_fails_otherwise():
             "spurious_failovers": spurious,
         }
 
-    good = [row("static-default", 150.0, 2), row("adaptive", 100.0, 0)]
-    assert policy_gate(good) == []
+    assert_adaptive_dominates([row("static-default", 150.0, 2), row("adaptive", 100.0, 0)], "mixed")
     slow = [row("static-default", 90.0, 2), row("adaptive", 100.0, 0)]
-    assert any("not below" in failure for failure in policy_gate(slow))
+    with pytest.raises(AssertionError, match="adaptive not below static-default"):
+        assert_adaptive_dominates(slow, "mixed")
     trigger_happy = [row("static-default", 150.0, 0), row("adaptive", 100.0, 1)]
-    assert any("spurious" in failure for failure in policy_gate(trigger_happy))
-    assert policy_gate([row("static-default", 150.0, 0)]) == ["no adaptive row for profile 'mixed'"]
+    with pytest.raises(AssertionError, match="adaptive spurious above static-default"):
+        assert_adaptive_dominates(trigger_happy, "mixed")
+    with pytest.raises(AssertionError, match="no adaptive row for profile 'mixed'"):
+        assert_adaptive_dominates([row("static-default", 150.0, 0)], "mixed")
 
 
 def test_policy_task_is_deterministic():
-    from repro.perf.sweep import evaluate_policy_task
-
     first = evaluate_policy_task(("adaptive", "crashy", 0))
     second = evaluate_policy_task(("adaptive", "crashy", 0))
     assert first == second
