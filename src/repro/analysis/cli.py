@@ -178,6 +178,19 @@ def list_rules() -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``| head``): point stdout at devnull so the
+        # interpreter's exit flush cannot fail again, and exit with the
+        # status of a writer killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
     if options.list_rules:

@@ -1,7 +1,8 @@
 """Marshaling for ORPC calls.
 
-Values crossing the wire are deep-copied (no shared state between nodes)
-and restricted to plain data: primitives, strings, bytes, lists, tuples,
+Values crossing the wire are deep-copied with
+:func:`~repro.nt.memory.plain_copy` (no shared state between nodes) and
+restricted to plain data: primitives, strings, bytes, lists, tuples,
 dicts, and :class:`ObjRef` — the marshaled form of an interface pointer.
 
 Generating "the DCOM server object proxy and stub" is called out in §3.3
@@ -12,13 +13,14 @@ enforces the same what-can-cross-the-wire discipline MIDL would.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Any, Tuple
+from sys import getrecursionlimit
+from typing import Any, Iterable, List, Tuple
 
 from repro.com.guids import GUID
 from repro.com.hresult import E_FAIL
 from repro.errors import ComError
+from repro.nt.memory import plain_copy
 
 
 @dataclass(frozen=True)
@@ -62,28 +64,66 @@ def _check(value: Any, depth: int = 0) -> None:
 def marshal_value(value: Any) -> Any:
     """Validate and deep-copy *value* for transmission."""
     _check(value)
-    return copy.deepcopy(value)
+    return plain_copy(value)
 
 
 def unmarshal_value(value: Any) -> Any:
     """Deep-copy *value* on receipt (symmetric with :func:`marshal_value`)."""
-    return copy.deepcopy(value)
+    return plain_copy(value)
+
+
+#: Exact types with a fixed wire size.
+_FIXED_WIRE_SIZES = {type(None): 4, bool: 4, int: 8, float: 8, GUID: 32, ObjRef: 32}
 
 
 def estimate_wire_size(value: Any) -> int:
-    """Approximate encoded size, used for network serialisation delay."""
-    if value is None or isinstance(value, bool):
-        return 4
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return 4 + len(value)
-    if isinstance(value, bytes):
-        return 4 + len(value)
-    if isinstance(value, (GUID, ObjRef)):
-        return 32
-    if isinstance(value, (list, tuple)):
-        return 8 + sum(estimate_wire_size(item) for item in value)
-    if isinstance(value, dict):
-        return 8 + sum(estimate_wire_size(k) + estimate_wire_size(v) for k, v in value.items())
-    return 64
+    """Approximate encoded size, used for network serialisation delay.
+
+    ``None`` and bools cost 4, numbers 8, strings and bytes 4 plus their
+    length, GUIDs and object references 32, lists, tuples and dicts 8
+    plus their items (a dict's keys and values), anything else 64.  The
+    walk keeps its own stack of item iterables, so a cyclic value raises
+    ``RecursionError`` past ``sys.getrecursionlimit()`` levels instead
+    of looping.
+    """
+    total = 0
+    limit = getrecursionlimit()
+    pending: List[Tuple[int, Iterable[Any]]] = [(0, (value,))]
+    pop = pending.pop
+    push = pending.append
+    fixed = _FIXED_WIRE_SIZES
+    while pending:
+        depth, items = pop()
+        depth += 1
+        if depth > limit:
+            raise RecursionError("estimate_wire_size: value nested too deep (cyclic?)")
+        for item in items:
+            kind = type(item)
+            size = fixed.get(kind)
+            if size is not None:
+                total += size
+            elif kind is str or kind is bytes:
+                total += 4 + len(item)
+            elif kind is list or kind is tuple:
+                total += 8
+                push((depth, item))
+            elif kind is dict:
+                total += 8
+                push((depth, item.keys()))
+                push((depth, item.values()))
+            elif isinstance(item, (int, float)):
+                total += 8
+            elif isinstance(item, (str, bytes)):
+                total += 4 + len(item)
+            elif isinstance(item, (GUID, ObjRef)):
+                total += 32
+            elif isinstance(item, (list, tuple)):
+                total += 8
+                push((depth, item))
+            elif isinstance(item, dict):
+                total += 8
+                push((depth, item.keys()))
+                push((depth, item.values()))
+            else:
+                total += 64
+    return total

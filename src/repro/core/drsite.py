@@ -29,13 +29,13 @@ serving primary is the chaos suite's ``dr-standdown`` check.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import Checkpoint, CheckpointStore
 from repro.core.config import OfttConfig
 from repro.msq.manager import QueueManager
 from repro.msq.queue import QueueMessage
+from repro.nt.memory import plain_copy
 from repro.nt.system import NTSystem
 from repro.simnet.kernel import SimKernel
 from repro.simnet.trace import TraceLog
@@ -165,7 +165,7 @@ class DRSite:
         checkpoint already reflects.
         """
         latest = self.store.latest(self.app_name)
-        image: Dict[str, Dict[str, Any]] = copy.deepcopy(latest.image) if latest is not None else {}
+        image: Dict[str, Dict[str, Any]] = plain_copy(latest.image) if latest is not None else {}
         replayed = 0
         if self.apply_message is not None:
             region = image.setdefault("globals", {})

@@ -20,11 +20,15 @@ tables are printed in the requested order either way, so the output is
 byte-identical for any worker count::
 
     python -m repro.harness.run_experiments --jobs 4
+
+Exit codes: 0 ok, 1 replay-check divergence, 2 usage error, 141 stdout
+closed early (``| head``), with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # oftt-lint: file-ok[ambient-io] -- the experiment runner is the host-side CLI.
@@ -130,6 +134,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``| head``): point stdout at devnull so the
+        # interpreter's exit flush cannot fail again, and exit with the
+        # status of a writer killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     options = build_parser().parse_intermixed_args(argv)
     requested = options.ids or list(EXPERIMENTS)
     unknown = [experiment_id for experiment_id in requested if experiment_id not in EXPERIMENTS]

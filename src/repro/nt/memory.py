@@ -10,7 +10,8 @@ walks these regions to capture a checkpoint.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Iterator, List, Optional
+from sys import getrecursionlimit
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import AccessViolation
 
@@ -23,8 +24,74 @@ _KINDS = (GLOBAL, HEAP, STACK)
 
 #: Exact types that are immutable and therefore safe to share between a
 #: region and its snapshot.  ``type()`` identity (not isinstance) keeps
-#: the check cheap and conservative: a subclass falls back to deepcopy.
+#: the check cheap and conservative: a subclass takes the slow path.
 _IMMUTABLE_SCALARS = frozenset((str, int, float, bool, bytes, type(None)))
+
+#: Exact types with a fixed :func:`_estimate_size`.
+_FIXED_SIZES = {type(None): 8, bool: 8, int: 8, float: 8}
+
+#: Memo-miss marker (a memoized copy may legitimately be any value).
+_MISSING = object()
+
+
+def plain_copy(value: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
+    """Deep copy of plain data that shares every immutable scalar leaf.
+
+    Gives the same result as the standard library's deep copy: exact
+    ``str``/``int``/``float``/``bool``/``bytes``/``None`` leaves are
+    returned as they are, exact ``list``/``dict``/``tuple`` containers
+    are rebuilt (a tuple whose items all come back unchanged is returned
+    itself), and *memo* — keyed by container ``id`` — makes aliased and
+    self-referencing containers come out aliased the same way.  Any
+    other type (``set``, ``bytearray``, subclasses such as
+    ``defaultdict`` or ``IntEnum``, ``ObjRef``) goes to the ``copy``
+    module's deep copy with the same memo, so aliasing holds across the
+    two.
+    """
+    kind = type(value)
+    if kind in _IMMUTABLE_SCALARS:
+        return value
+    return _copy_node(value, kind, {} if memo is None else memo)
+
+
+def _copy_node(value: Any, kind: type, memo: Dict[int, Any]) -> Any:
+    key = id(value)
+    found = memo.get(key, _MISSING)
+    if found is not _MISSING:
+        return found
+    leaves = _IMMUTABLE_SCALARS
+    if kind is list:
+        out: Any = []
+        memo[key] = out
+        append = out.append
+        for item in value:
+            item_kind = type(item)
+            append(item if item_kind in leaves else _copy_node(item, item_kind, memo))
+        return out
+    if kind is dict:
+        out = {}
+        memo[key] = out
+        for name, item in value.items():
+            item_kind = type(name)
+            if item_kind not in leaves:
+                name = _copy_node(name, item_kind, memo)
+            item_kind = type(item)
+            out[name] = item if item_kind in leaves else _copy_node(item, item_kind, memo)
+        return out
+    if kind is tuple:
+        items = [item if type(item) in leaves else _copy_node(item, type(item), memo) for item in value]
+        # A tuple reached again through its own items was copied there.
+        found = memo.get(key, _MISSING)
+        if found is not _MISSING:
+            return found
+        for copied, item in zip(items, value):
+            if copied is not item:
+                out = memo[key] = tuple(items)
+                return out
+        return value
+    # Reviewed-benign HOT004: the slow path for types plain data rarely
+    # holds; it shares *memo*, so it is memoized with the fast path.
+    return copy.deepcopy(value, memo)  # oftt-lint: ok[hot-unmemoized-heavy]
 
 
 def copy_variables(data: Dict[str, Any]) -> Dict[str, Any]:
@@ -32,19 +99,16 @@ def copy_variables(data: Dict[str, Any]) -> Dict[str, Any]:
 
     Checkpoint images are overwhelmingly flat dicts of immutable scalars
     (counters, flags, payload strings).  When every value is one, a
-    shallow ``dict()`` copy is semantically identical to ``deepcopy`` —
-    nothing shared is mutable.  Any container (or scalar subclass) value
-    sends the whole dict down the general ``deepcopy`` path, so in-place
-    mutation of a held list/dict (e.g. the SCADA alarm log) can never
-    leak between a region and its snapshots.
+    shallow ``dict()`` copy is a full deep copy — nothing shared is
+    mutable.  Any container (or scalar subclass) value sends the whole
+    dict through :func:`plain_copy`, so in-place mutation of a held
+    list/dict (e.g. the SCADA alarm log) can never leak between a region
+    and its snapshots.
     """
     scalars = _IMMUTABLE_SCALARS
     for value in data.values():
         if type(value) not in scalars:
-            # Reviewed-benign HOT004: this *is* the slow path — a dict
-            # holding mutable values has no immutable carrier to cache
-            # on, and correctness requires the full deep copy.
-            return copy.deepcopy(data)  # oftt-lint: ok[hot-unmemoized-heavy]
+            return plain_copy(data)
     return dict(data)
 
 
@@ -52,7 +116,7 @@ class MemoryRegion:
     """A named region of a process address space.
 
     Variables are stored by name; values must be plain picklable Python
-    data (the checkpoint layer deep-copies them).
+    data (snapshots copy them with :func:`plain_copy`).
     """
 
     def __init__(self, name: str, kind: str = GLOBAL) -> None:
@@ -196,15 +260,50 @@ class AddressSpace:
 
 
 def _estimate_size(value: Any) -> int:
-    """Crude recursive size estimate for cost modelling (not accounting)."""
-    if isinstance(value, (int, float, bool)) or value is None:
-        return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, dict):
-        return 16 + sum(_estimate_size(k) + _estimate_size(v) for k, v in value.items())
-    if isinstance(value, (list, tuple, set)):
-        return 16 + sum(_estimate_size(item) for item in value)
-    return 64
+    """Crude size estimate for cost modelling (not accounting).
+
+    Scalars cost 8, strings and bytes their length, containers 16 plus
+    their items (a dict's keys and values), anything else 64.  The walk
+    keeps its own stack of item iterables, so a cyclic value raises
+    ``RecursionError`` past ``sys.getrecursionlimit()`` levels instead
+    of looping.
+    """
+    total = 0
+    limit = getrecursionlimit()
+    pending: List[Tuple[int, Iterable[Any]]] = [(0, (value,))]
+    pop = pending.pop
+    push = pending.append
+    fixed = _FIXED_SIZES
+    while pending:
+        depth, items = pop()
+        depth += 1
+        if depth > limit:
+            raise RecursionError("_estimate_size: value nested too deep (cyclic?)")
+        for item in items:
+            kind = type(item)
+            size = fixed.get(kind)
+            if size is not None:
+                total += size
+            elif kind is str or kind is bytes:
+                total += len(item)
+            elif kind is dict:
+                total += 16
+                push((depth, item.keys()))
+                push((depth, item.values()))
+            elif kind is list or kind is tuple:
+                total += 16
+                push((depth, item))
+            elif isinstance(item, (int, float)):
+                total += 8
+            elif isinstance(item, (str, bytes)):
+                total += len(item)
+            elif isinstance(item, dict):
+                total += 16
+                push((depth, item.keys()))
+                push((depth, item.values()))
+            elif isinstance(item, (list, tuple, set)):
+                total += 16
+                push((depth, item))
+            else:
+                total += 64
+    return total
