@@ -13,7 +13,7 @@ MSMQ queue (``oftt.dr.journal``) and watches the pair's liveness:
   ``DiverterClient`` ``mirror`` option), so the log survives the pair
   (the pair-side inbox journal dies with its node).
 
-When *both* pair engines go silent for ``config.dr_activation_timeout``
+When *both* pair engines go silent for ``DR_ACTIVATION_TIMEOUT``
 (no DR heartbeats on ``oftt.dr``, no checkpoint arrivals), the site
 activates: it reconstructs the application state as
 ``last checkpoint image + replay of logged messages the image does not
@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import Checkpoint, CheckpointStore
-from repro.core.config import OfttConfig
 from repro.msq.manager import QueueManager
 from repro.msq.queue import QueueMessage
 from repro.nt.memory import plain_copy
@@ -44,6 +43,8 @@ from repro.simnet.trace import TraceLog
 DR_QUEUE = "oftt.dr.journal"
 #: Port the pair engines heartbeat the DR site on.
 DR_PORT = "oftt.dr"
+#: Pair silence before the remote site activates.
+DR_ACTIVATION_TIMEOUT = 5_000.0
 
 
 class DRSite:
@@ -54,19 +55,17 @@ class DRSite:
         kernel: SimKernel,
         system: NTSystem,
         qmgr: QueueManager,
-        config: OfttConfig,
         trace: TraceLog,
         app_name: str = "synthetic",
         apply_message: Optional[Callable[[Dict[str, Any], Any], bool]] = None,
     ) -> None:
         self.kernel = kernel
         self.system = system
-        self.config = config
         self.trace = trace
         self.node_name = system.node.name
         self.app_name = app_name
         self.apply_message = apply_message
-        self.store = CheckpointStore(config.checkpoint_history)
+        self.store = CheckpointStore()
         #: Message-log bodies in arrival order (replay input).
         self.message_log: List[Any] = []
         self.checkpoints_rx = 0
@@ -82,7 +81,7 @@ class DRSite:
         system.node.bind(DR_PORT, self._on_pair_heartbeat)
         # Poll well inside the activation timeout so activation latency
         # is dominated by the timeout itself, not the poll grid.
-        self._watch_period = max(config.dr_activation_timeout / 4.0, 250.0)
+        self._watch_period = max(DR_ACTIVATION_TIMEOUT / 4.0, 250.0)
         self._watch_timer: Optional[int] = self.kernel.schedule(self._watch_period, self._watch)
 
     def stop(self) -> None:
@@ -129,7 +128,7 @@ class DRSite:
         if (
             not self.active
             and self.last_pair_signal is not None
-            and now - self.last_pair_signal > self.config.dr_activation_timeout
+            and now - self.last_pair_signal > DR_ACTIVATION_TIMEOUT
         ):
             self._activate(now - self.last_pair_signal)
         self._watch_timer = self.kernel.schedule(self._watch_period, self._watch)

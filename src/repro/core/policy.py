@@ -45,7 +45,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.core.config import RecoveryAction
-from repro.core.recovery import RecoveryDecision
+from repro.core.recovery import DECISION_LOG_LIMIT, RecoveryDecision
 from repro.core.roles import Role
 from repro.core.status import ComponentStatus
 from repro.core.strategy import PEER
@@ -53,6 +53,46 @@ from repro.nt.perfmon import PerfMon
 
 if TYPE_CHECKING:
     from repro.core.engine import OfttEngine
+
+#: Restart-governance: exponential backoff factor applied to the rule's
+#: ``restart_delay`` per consecutive local restart (attempt n waits
+#: ``restart_delay * COOLDOWN_BACKOFF**n``, capped below).
+COOLDOWN_BACKOFF = 2.0
+#: Cap on the backed-off restart delay.
+COOLDOWN_MAX = 5_000.0
+#: Thrash detector: this many failures of one component inside
+#: ``THRASH_WINDOW`` is a crash-loop — stop burning local restarts and
+#: escalate immediately.
+THRASH_THRESHOLD = 2
+THRASH_WINDOW = 1_500.0
+#: A component stable this long has its failure history, backoff and
+#: escalation-ladder position cleared.
+STABILITY_WINDOW = 2_500.0
+#: Classifier: evidence window for failure/anomaly event counting.
+ANOMALY_WINDOW = 3_000.0
+#: Classifier: component failures inside the anomaly window that mark
+#: the regime transient-crashy.
+CRASHY_THRESHOLD = 2
+#: Classifier: a peer-heartbeat inter-arrival gap above this multiple of
+#: ``peer_heartbeat_period`` is a latency-skew anomaly (gray evidence).
+GRAY_GAP_FACTOR = 3.0
+#: Detector tuning applied while gray evidence is live: the peer watch
+#: tolerates this many consecutive missed sweeps (instead of
+#: ``heartbeat_miss_threshold``) before declaring peer loss.
+GRAY_MISS_TOLERANCE = 4
+#: Detector tuning applied while crashy evidence is live: component
+#: watch timeouts are scaled by this factor (<1 tightens detection of
+#: hangs; component heartbeats are same-node calls, so tightening
+#: carries no network false-positive risk).
+TIGHTEN_SCALE = 0.5
+#: Escalation gating: a failover is deferred to a local restart when the
+#: peer has been silent longer than this multiple of
+#: ``peer_heartbeat_period`` (handing off toward a possibly unreachable
+#: peer risks a demote-into-partition outage).
+PEER_STALE_FACTOR = 2.0
+#: Minimum time between strategy switches on one engine (anti-flap
+#: dwell; the chaos flapping monitor enforces a looser bound).
+SWITCH_DWELL = 8_000.0
 
 
 class FaultRegime(Enum):
@@ -108,13 +148,12 @@ class FaultClassifier:
     def sample(self) -> None:
         """Refresh evidence from the heartbeat and perfmon streams."""
         now = self.kernel.now
-        window = self.config.policy_anomaly_window
-        self._crash_events = [t for t in self._crash_events if t >= now - window]
+        self._crash_events = [t for t in self._crash_events if t >= now - ANOMALY_WINDOW]
         # Latency skew: the largest recent beat-to-beat gap on the peer
         # channel.  A gap well past the send period with beats still
         # arriving is the gray-node signature — delay, not death.
         gap = self.engine.monitor.largest_gap(PEER)
-        if gap is not None and gap > self.config.policy_gray_gap_factor * self.config.peer_heartbeat_period:
+        if gap is not None and gap > GRAY_GAP_FACTOR * self.config.peer_heartbeat_period:
             self._gray_evidence_at = now
         if self.perfmon_missing():
             self._perfmon_anomaly_at = now
@@ -136,10 +175,9 @@ class FaultClassifier:
     def classify(self) -> FaultRegime:
         """Label the current regime (most constraining evidence wins)."""
         now = self.kernel.now
-        window = self.config.policy_anomaly_window
-        fresh = lambda at: at is not None and now - at <= window  # noqa: E731
+        fresh = lambda at: at is not None and now - at <= ANOMALY_WINDOW  # noqa: E731
         crashes = len(self._crash_events)
-        crashy = crashes >= self.config.policy_crashy_threshold or (
+        crashy = crashes >= CRASHY_THRESHOLD or (
             crashes >= 1 and fresh(self._perfmon_anomaly_at)
         )
         if not self.engine.peer_present:
@@ -170,7 +208,7 @@ class AdaptivePolicy:
         self.config = engine.config
         self.classifier = FaultClassifier(engine)
         #: Ring-buffered audit log (same bound as RecoveryManager's).
-        self.decisions: Deque[PolicyDecision] = deque(maxlen=self.config.decision_log_limit)
+        self.decisions: Deque[PolicyDecision] = deque(maxlen=DECISION_LOG_LIMIT)
         #: Thrash/cooldown governor switch — chaos sabotage target
         #: ("disable-cooldown" proves the thrash monitor catches its loss).
         self.governor_enabled = True
@@ -190,28 +228,27 @@ class AdaptivePolicy:
         """Amend the static rule's decision for one failure event."""
         base = self.engine.recovery.on_failure(component, reason)
         now = self.kernel.now
-        cfg = self.config
         self.classifier.note_component_failure(component)
         self._last_failure_at[component] = now
         decision = base
         if self.governor_enabled:
             recent = self._recent.setdefault(component, [])
-            recent[:] = [t for t in recent if t >= now - cfg.policy_thrash_window]
+            recent[:] = [t for t in recent if t >= now - THRASH_WINDOW]
             recent.append(now)
-            thrashing = len(recent) >= cfg.policy_thrash_threshold
+            thrashing = len(recent) >= THRASH_THRESHOLD
             if base.action is RecoveryAction.LOCAL_RESTART:
                 if thrashing:
                     # Crash loop: stop burning restarts, climb the ladder.
                     decision = self._escalate(
                         base,
                         f"{reason} (thrash: {len(recent)} failures in "
-                        f"{cfg.policy_thrash_window:.0f}ms)",
+                        f"{THRASH_WINDOW:.0f}ms)",
                     )
                 else:
                     # Exponential back-off between local attempts.
                     delay = min(
-                        base.delay * cfg.policy_cooldown_backoff ** (base.restart_number - 1),
-                        cfg.policy_cooldown_max,
+                        base.delay * COOLDOWN_BACKOFF ** (base.restart_number - 1),
+                        COOLDOWN_MAX,
                     )
                     decision = replace(base, delay=delay)
             elif base.action is RecoveryAction.FAILOVER:
@@ -222,7 +259,7 @@ class AdaptivePolicy:
         # multi-hundred-ms outage).  Restart locally instead; the ladder
         # stage is kept so the next failure can still escalate.
         if decision.action is RecoveryAction.FAILOVER and self._peer_stale():
-            rule = cfg.rule_for(component)
+            rule = self.config.rule_for(component)
             decision = replace(
                 decision,
                 action=RecoveryAction.LOCAL_RESTART,
@@ -255,7 +292,7 @@ class AdaptivePolicy:
         silence = self.engine.monitor.silence(PEER)
         return (
             silence is not None
-            and silence > self.config.policy_peer_stale_factor * self.config.peer_heartbeat_period
+            and silence > PEER_STALE_FACTOR * self.config.peer_heartbeat_period
         )
 
     # -- periodic regime loop -----------------------------------------------------
@@ -285,10 +322,8 @@ class AdaptivePolicy:
         self.classifier.sample()
         regime = self.classifier.classify()
         self._apply_regime(regime)
-        if self.config.policy_proactive_failover:
-            self._proactive_check()
-        if self.config.policy_switch_strategies:
-            self._maybe_switch_strategy(regime)
+        self._proactive_check()
+        self._maybe_switch_strategy(regime)
         self._stability_sweep()
         self._timer = self.kernel.schedule(
             self.engine.scaled(self.config.heartbeat_period), self._tick
@@ -298,7 +333,6 @@ class AdaptivePolicy:
         if regime is self._tuned_regime:
             return
         monitor = self.engine.monitor
-        cfg = self.config
         # Component watches are same-node direct calls — no network
         # between the FTIM and the engine — so tightening them converts
         # hang-detection latency into almost no false-positive risk.
@@ -306,9 +340,9 @@ class AdaptivePolicy:
         # under gray evidence it must tolerate more consecutive misses.
         tighten = regime in (FaultRegime.CRASHY, FaultRegime.GRAY)
         for name in sorted(self.engine.components):
-            monitor.tune(name, timeout_scale=cfg.policy_tighten_scale if tighten else None)
+            monitor.tune(name, timeout_scale=TIGHTEN_SCALE if tighten else None)
         if regime is FaultRegime.GRAY:
-            monitor.tune(PEER, miss_tolerance=cfg.policy_gray_miss_tolerance)
+            monitor.tune(PEER, miss_tolerance=GRAY_MISS_TOLERANCE)
         else:
             monitor.tune(PEER)
         self._tuned_regime = regime
@@ -340,7 +374,7 @@ class AdaptivePolicy:
         if target == self.engine.strategy_name:
             return
         now = self.kernel.now
-        if self._last_switch_at is not None and now - self._last_switch_at < self.config.policy_switch_dwell:
+        if self._last_switch_at is not None and now - self._last_switch_at < SWITCH_DWELL:
             return  # dwell: regime flicker must not become strategy flapping
         self._last_switch_at = now
         self._log("switch", "*", f"{self.engine.strategy_name} -> {target} ({regime.value})")
@@ -350,7 +384,7 @@ class AdaptivePolicy:
         """Forget old incidents after sustained stability."""
         now = self.kernel.now
         for component in sorted(self._last_failure_at):
-            if now - self._last_failure_at[component] < self.config.policy_stability_window:
+            if now - self._last_failure_at[component] < STABILITY_WINDOW:
                 continue
             record = self.engine.components.get(component)
             if record is not None and record.status is not ComponentStatus.RUNNING:

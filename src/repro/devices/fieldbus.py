@@ -8,7 +8,7 @@ OPC server then reports to clients.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Tuple
 
 from repro.devices.device import Actuator, Device, Sensor, Valve
 
@@ -20,6 +20,9 @@ class Fieldbus:
         self.name = name
         self.up = True
         self.devices: Dict[str, Device] = {}
+        # Name-sorted views for the PLC scan; only attach() changes them.
+        self._sensors: Tuple[Sensor, ...] = ()
+        self._actuators: Tuple[Actuator, ...] = ()
         self.read_count = 0
         self.write_count = 0
 
@@ -28,6 +31,9 @@ class Fieldbus:
         if device.name in self.devices:
             raise ValueError(f"device {device.name} already on {self.name}")
         self.devices[device.name] = device
+        ordered = [self.devices[name] for name in sorted(self.devices)]
+        self._sensors = tuple(d for d in ordered if isinstance(d, Sensor))
+        self._actuators = tuple(d for d in ordered if isinstance(d, Actuator))
 
     def device(self, name: str) -> Device:
         """Look up a device."""
@@ -35,19 +41,13 @@ class Fieldbus:
             raise KeyError(f"no device {name} on {self.name}")
         return self.devices[name]
 
-    def sensors(self) -> List[Sensor]:
+    def sensors(self) -> Tuple[Sensor, ...]:
         """All attached sensors, sorted by name."""
-        return sorted(
-            (device for device in self.devices.values() if isinstance(device, Sensor)),
-            key=lambda device: device.name,
-        )
+        return self._sensors
 
-    def actuators(self) -> List[Actuator]:
+    def actuators(self) -> Tuple[Actuator, ...]:
         """All attached actuators, sorted by name."""
-        return sorted(
-            (device for device in self.devices.values() if isinstance(device, Actuator)),
-            key=lambda device: device.name,
-        )
+        return self._actuators
 
     def read_sensor(self, name: str, time: float, rng) -> float:
         """Read through the bus (raises when the bus is down)."""

@@ -248,8 +248,7 @@ def exp_checkpoint_cost(
             scenario = build_pair_env(
                 seed, OfttConfig(), lambda m=mode, c=cold_kb: SyntheticStateApp(cold_kb=c, mode=m)
             )
-            scenario.pair.start()
-            scenario.pair.settle()
+            scenario.start()
             scenario.run_for(run_time)
             primary = scenario.pair.primary_node()
             engine = scenario.pair.engines[primary]
@@ -297,8 +296,7 @@ def exp_detection_latency(
             heartbeat_timeout=setting["timeout"],
         )
         scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=4, mode="selective"))
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario.start()
         scenario.run_for(warmup)
         primary = scenario.pair.primary_node()
         fault_time = scenario.kernel.now
@@ -528,8 +526,7 @@ def exp_recovery_rules(seed: int = 0, warmup: float = 15_000.0) -> List[Dict[str
     ):
         config = OfttConfig().with_rule("synthetic", rule)
         scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=8, mode="selective"))
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario.start()
         scenario.run_for(warmup)
         primary_before = scenario.pair.primary_node()
         fault_time = scenario.kernel.now
@@ -574,8 +571,7 @@ def exp_dcom(seed: int = 0) -> Dict[str, Any]:
 
     config = OfttConfig()
     scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
-    scenario.pair.start()
-    scenario.pair.settle()
+    scenario.start()
     scenario.run_for(5_000.0)
     primary = scenario.pair.primary_node()
     backup = scenario.pair.backup_node()
@@ -706,8 +702,7 @@ def exp_ablation_dual_lan(seed: int = 0, warmup: float = 5_000.0, observe: float
         scenario = build_pair_env(
             seed, OfttConfig(), lambda: SyntheticStateApp(cold_kb=2, mode="selective"), dual_lan=lans > 1
         )
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario.start()
         scenario.run_for(warmup)
         primary = scenario.pair.primary_node()
         # Cut the primary's NIC on lan0 only.
@@ -763,8 +758,7 @@ def exp_ablation_heartbeat_loss(
                 peer_heartbeat_period=100.0,
             )
             scenario = build_pair_env(seed, config, lambda: SyntheticStateApp(cold_kb=1, mode="selective"))
-            scenario.pair.start()
-            scenario.pair.settle()
+            scenario.start()
             scenario.network.links["lan0"].loss = loss
             scenario.run_for(observe)
             false_takeovers = scenario.trace.count(category="engine", event="takeover")
@@ -799,8 +793,7 @@ def exp_ablation_checkpoint_period(
             OfttConfig(),
             lambda p=period: SyntheticStateApp(cold_kb=4, mode="selective", tick_period=50.0, checkpoint_period=p),
         )
-        scenario.pair.start()
-        scenario.pair.settle()
+        scenario.start()
         scenario.run_for(run_time)
         primary = scenario.pair.primary_node()
         app = scenario.pair.apps[primary]

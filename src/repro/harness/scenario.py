@@ -415,7 +415,6 @@ class ChaosScenario(_BaseScenario):
                 kernel=self.kernel,
                 system=dr_system,
                 qmgr=self.dr_qmgr,
-                config=self.config,
                 trace=self.trace,
                 app_name=self.APP_NAME,
                 apply_message=SyntheticStateApp.apply_message,

@@ -1,5 +1,7 @@
 """Unit tests for OFTT configuration and the status model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -14,6 +16,27 @@ from repro.core.status import ComponentKind, ComponentStatus, StatusReport
 
 def test_default_config_validates():
     OfttConfig().validate()
+
+
+def test_config_holds_only_the_varied_knobs():
+    # Fixed tunables are module constants beside their one reader.
+    assert [f.name for f in dataclasses.fields(OfttConfig)] == [
+        "heartbeat_period",
+        "heartbeat_timeout",
+        "heartbeat_miss_threshold",
+        "use_exit_hooks",
+        "checkpoint_period",
+        "startup_wait",
+        "startup_retries",
+        "give_up_policy",
+        "peer_heartbeat_period",
+        "peer_heartbeat_timeout",
+        "replication_strategy",
+        "dr_node",
+        "recovery_rules",
+        "default_rule",
+        "adaptive_policy",
+    ]
 
 
 def test_heartbeat_timeout_must_exceed_period():
@@ -32,7 +55,13 @@ def test_other_validations():
     with pytest.raises(ValueError):
         replace_config(OfttConfig(), startup_retries=-1)
     with pytest.raises(ValueError):
-        replace_config(OfttConfig(), checkpoint_history=0)
+        replace_config(OfttConfig(), peer_heartbeat_period=0.0)
+    with pytest.raises(ValueError):
+        replace_config(OfttConfig(), peer_heartbeat_period=-100.0, peer_heartbeat_timeout=500.0)
+    with pytest.raises(ValueError):
+        replace_config(OfttConfig(), startup_wait=0.0)
+    with pytest.raises(ValueError):
+        replace_config(OfttConfig(), startup_wait=-1.0)
 
 
 def test_rule_lookup_falls_back_to_default():

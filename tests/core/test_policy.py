@@ -1,9 +1,10 @@
 """Unit and pair-level tests for the adaptive recovery policy layer."""
 
+from repro.core import policy as policy_module
 from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule, replace_config
 from repro.core.policy import FaultRegime
 from repro.core.roles import Role
-from repro.core.strategy import PEER
+from repro.core.strategy import LF_UPDATE_PERIOD, PEER
 from repro.faults.faultlib import AppCrash
 
 from tests.core.util import make_pair_world
@@ -57,12 +58,11 @@ def test_backoff_grows_exponentially_between_spaced_restarts():
     assert third.delay == 400.0
 
 
-def test_backoff_is_capped():
-    world = policy_world(
-        default_rule=RecoveryRule(max_local_restarts=50),
-        policy_cooldown_max=500.0,
-        policy_thrash_threshold=100,  # keep the thrash detector out of the way
-    )
+def test_backoff_is_capped(monkeypatch):
+    monkeypatch.setattr(policy_module, "COOLDOWN_MAX", 500.0)
+    # Keep the thrash detector out of the way.
+    monkeypatch.setattr(policy_module, "THRASH_THRESHOLD", 100)
+    world = policy_world(default_rule=RecoveryRule(max_local_restarts=50))
     policy = primary_engine(world).policy
     delays = []
     for _ in range(6):
@@ -115,11 +115,9 @@ def test_failover_deferred_while_peer_stale():
     assert "deferred: peer stale" in decision.reason
 
 
-def test_stability_sweep_clears_history_and_ladder_stage():
-    world = policy_world(
-        default_rule=RecoveryRule(max_local_restarts=10),
-        policy_stability_window=1_000.0,
-    )
+def test_stability_sweep_clears_history_and_ladder_stage(monkeypatch):
+    monkeypatch.setattr(policy_module, "STABILITY_WINDOW", 1_000.0)
+    world = policy_world(default_rule=RecoveryRule(max_local_restarts=10))
     engine = primary_engine(world)
     policy = engine.policy
     policy.decide(APP, "crash")
@@ -132,8 +130,9 @@ def test_stability_sweep_clears_history_and_ladder_stage():
     assert any(d.kind == "clear" for d in policy.decisions)
 
 
-def test_decision_log_is_ring_buffered():
-    world = policy_world(decision_log_limit=4, default_rule=RecoveryRule.local_only())
+def test_decision_log_is_ring_buffered(monkeypatch):
+    monkeypatch.setattr(policy_module, "DECISION_LOG_LIMIT", 4)
+    world = policy_world(default_rule=RecoveryRule.local_only())
     policy = primary_engine(world).policy
     policy.governor_enabled = False
     for index in range(10):
@@ -160,8 +159,9 @@ def test_classifier_crashy_after_repeated_failures():
     assert classifier.classify() is FaultRegime.CRASHY
 
 
-def test_classifier_crash_evidence_expires():
-    world = policy_world(policy_anomaly_window=1_000.0)
+def test_classifier_crash_evidence_expires(monkeypatch):
+    monkeypatch.setattr(policy_module, "ANOMALY_WINDOW", 1_000.0)
+    world = policy_world()
     classifier = primary_engine(world).policy.classifier
     classifier.note_component_failure(APP)
     classifier.note_component_failure(APP)
@@ -201,10 +201,10 @@ def test_gray_regime_desensitises_peer_watch_only():
     policy = engine.policy
     policy._apply_regime(FaultRegime.GRAY)
     peer_watch = engine.monitor._watches[PEER]
-    assert peer_watch.miss_tolerance == world.config.policy_gray_miss_tolerance
+    assert peer_watch.miss_tolerance == policy_module.GRAY_MISS_TOLERANCE
     assert peer_watch.timeout == peer_watch.base_timeout  # never tightened
     app_watch = engine.monitor._watches[APP]
-    assert app_watch.timeout == app_watch.base_timeout * world.config.policy_tighten_scale
+    assert app_watch.timeout == app_watch.base_timeout * policy_module.TIGHTEN_SCALE
     policy._apply_regime(FaultRegime.HEALTHY)
     assert peer_watch.miss_tolerance is None
     assert app_watch.timeout == app_watch.base_timeout
@@ -234,7 +234,7 @@ def test_switch_strategy_rebases_ftim_and_emits_trace():
     assert engine.strategy_switch_count == 1
     ftim = engine.applications[APP].api.ftim
     assert ftim.incremental is True
-    assert ftim.checkpoint_period == world.config.lf_update_period
+    assert ftim.checkpoint_period == LF_UPDATE_PERIOD
     records = world.trace.select(event="strategy-switched", component=world.primary)
     assert records and records[0].detail["previous"] == "cold-passive"
 
@@ -250,11 +250,13 @@ def test_switch_back_restores_requested_checkpoint_policy():
     assert ftim.checkpoint_period == original_period
 
 
-def test_backup_follows_primary_strategy():
-    # policy_switch_strategies off: the regime loop must not revert the
-    # manual switch; following the primary is independent of it.
-    world = policy_world(policy_switch_strategies=False)
+def test_backup_follows_primary_strategy(monkeypatch):
+    # The backup follows via the heartbeat's strategy field, which only a
+    # policy-on engine sends.  Stop the primary's regime loop from
+    # reverting the manual switch; following is independent of it.
+    world = policy_world()
     engine = primary_engine(world)
+    monkeypatch.setattr(engine.policy, "_maybe_switch_strategy", lambda _regime: None)
     backup = world.pair.engines[world.backup]
     engine.switch_strategy("leader-follower", "test")
     world.run_for(500.0)  # a few peer heartbeats
@@ -262,8 +264,9 @@ def test_backup_follows_primary_strategy():
     assert backup.role is Role.BACKUP
 
 
-def test_crashy_regime_switches_to_hot_standby_with_dwell():
-    world = policy_world(policy_switch_dwell=5_000.0)
+def test_crashy_regime_switches_to_hot_standby_with_dwell(monkeypatch):
+    monkeypatch.setattr(policy_module, "SWITCH_DWELL", 5_000.0)
+    world = policy_world()
     engine = primary_engine(world)
     policy = engine.policy
     policy._maybe_switch_strategy(FaultRegime.CRASHY)

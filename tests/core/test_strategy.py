@@ -20,6 +20,7 @@ from repro.core.roles import Role
 from repro.core.strategy import (
     STRATEGIES,
     ColdPassiveStrategy,
+    LF_UPDATE_PERIOD,
     LeaderFollowerStrategy,
     LogReplayDRStrategy,
     create_strategy,
@@ -85,7 +86,7 @@ def test_leader_follower_streams_incremental_updates():
     follower = scenario.pair.backup_node()
     ftim = scenario.pair.apps[primary].api.ftim
     assert ftim.incremental
-    assert ftim.checkpoint_period == scenario.config.lf_update_period
+    assert ftim.checkpoint_period == LF_UPDATE_PERIOD
 
     strategy = scenario.pair.engines[primary].strategy
     assert isinstance(strategy, LeaderFollowerStrategy)

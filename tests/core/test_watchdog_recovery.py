@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import OfttConfig, RecoveryAction, RecoveryRule
+from repro.core import recovery as recovery_module
 from repro.core.recovery import RecoveryManager
 from repro.core.watchdog import WatchdogTimer
 from repro.errors import WatchdogError
@@ -139,9 +140,10 @@ def test_decisions_recorded():
     assert "exhausted" in recovery.decisions[1].reason
 
 
-def test_decisions_log_is_ring_buffered():
+def test_decisions_log_is_ring_buffered(monkeypatch):
+    monkeypatch.setattr(recovery_module, "DECISION_LOG_LIMIT", 3)
     kernel = SimKernel()
-    config = OfttConfig(decision_log_limit=3).with_rule("app", RecoveryRule.local_only())
+    config = OfttConfig().with_rule("app", RecoveryRule.local_only())
     recovery = RecoveryManager(kernel, config)
     for index in range(8):
         recovery.on_failure("app", f"crash-{index}")

@@ -33,6 +33,17 @@ def test_fieldbus_attach_and_lookup():
         bus.attach(Sensor("temp", Constant(0.0)))
 
 
+def test_fieldbus_attach_after_listing_keeps_name_order():
+    _world, bus, _plc = make_plant()
+    assert [s.name for s in bus.sensors()] == ["temp"]
+    assert [a.name for a in bus.actuators()] == ["pump"]
+    bus.attach(Sensor("level", Constant(1.0)))
+    bus.attach(Sensor("zflow", Constant(2.0)))
+    bus.attach(Actuator("fan"))
+    assert [s.name for s in bus.sensors()] == ["level", "temp", "zflow"]
+    assert [a.name for a in bus.actuators()] == ["fan", "pump"]
+
+
 def test_fieldbus_down_blocks_io():
     world, bus, _plc = make_plant()
     bus.fail()

@@ -9,6 +9,7 @@ supports.  A registry entry without claims here fails the suite.
 import pytest
 
 from repro.core.config import OfttConfig
+from repro.core.drsite import DR_ACTIVATION_TIMEOUT
 from repro.harness.run_experiments import EXPERIMENTS, run_experiment_task
 from repro.harness.sweeps import DEFAULT_THRESHOLDS, DEFAULT_TIMEOUTS, POLICY_NAMES
 
@@ -185,8 +186,7 @@ def claims_s2(rows):
     assert survivor["recovered_by"] == "dr"
     assert survivor["lost"] == 0 and survivor["applied"] == survivor["sent"]
     assert survivor["replayed"] > 0
-    silence = OfttConfig().dr_activation_timeout
-    assert silence < survivor["mean_recovery_ms"] < silence + 1_000.0
+    assert DR_ACTIVATION_TIMEOUT < survivor["mean_recovery_ms"] < DR_ACTIVATION_TIMEOUT + 1_000.0
     for row in loss.values():
         assert row["recovered_by"] == "none"
         assert row["lost"] == row["sent"] and row["applied"] == 0

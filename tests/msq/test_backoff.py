@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import OfttConfig
+from repro.core import cluster
 from repro.errors import MsqError
 from repro.msq.manager import QueueManager
 from repro.simnet.random import RngStreams
@@ -72,32 +72,14 @@ def test_constructor_validation():
         make_sender(world, retry_interval=500.0, max_retry_interval=250.0)
 
 
-def test_config_validation():
-    OfttConfig().validate()  # defaults are coherent
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_backoff=0.9).validate()
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_jitter=-5.0).validate()
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_interval=250.0, msq_retry_max_interval=100.0).validate()
-    with pytest.raises(ValueError):
-        OfttConfig(msq_retry_interval=0.0).validate()
-
-
-def test_pair_wires_config_into_queue_managers():
-    config = OfttConfig(
-        msq_retry_interval=111.0,
-        msq_retry_backoff=3.0,
-        msq_retry_max_interval=999.0,
-        msq_retry_jitter=7.0,
-    )
-    world = make_pair_world(config=config)
+def test_pair_queue_managers_carry_cluster_retry_constants():
+    world = make_pair_world()
     for name in ("alpha", "beta"):
         qmgr = world.pair.contexts[name].qmgr
-        assert qmgr.retry_interval == 111.0
-        assert qmgr.backoff_factor == 3.0
-        assert qmgr.max_retry_interval == 999.0
-        assert qmgr.retry_jitter == 7.0
+        assert qmgr.retry_interval == cluster.MSQ_RETRY_INTERVAL
+        assert qmgr.backoff_factor == cluster.MSQ_RETRY_BACKOFF
+        assert qmgr.max_retry_interval == cluster.MSQ_RETRY_MAX_INTERVAL
+        assert qmgr.retry_jitter == cluster.MSQ_RETRY_JITTER
 
 
 # ---------------------------------------------------------------------------
